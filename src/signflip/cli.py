@@ -26,6 +26,7 @@ from .linalg import (
 )
 from .matio import MatrixFormatError, read_matrix
 from .signgroup import (
+    ENUMERATION_CAP,
     SignPattern,
     conjugated_group,
     enumerate_group,
@@ -91,6 +92,13 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _read_real_matrix(path: str) -> np.ndarray:
+    m = read_matrix(path)
+    if np.iscomplexobj(m):
+        raise ValueError(f"{path}: expected a real matrix, got complex entries")
+    return m
+
+
 def run_eig(args) -> int:
     m = read_matrix(args.matrix)
     if np.iscomplexobj(m):
@@ -117,7 +125,7 @@ def run_eig(args) -> int:
 
 
 def run_check(args) -> int:
-    m = read_matrix(args.matrix)
+    m = _read_real_matrix(args.matrix)
     result = symmetry_via_equivariance(m, tol=args.tol)
     print(f"symmetric: {'yes' if result.verdict else 'no'}")
     print(f"max generator commutator: {_fmt(result.max_commutator)}")
@@ -128,21 +136,19 @@ def run_check(args) -> int:
 
 
 def run_group(args) -> int:
-    m = read_matrix(args.matrix)
+    m = _read_real_matrix(args.matrix)
+    n = m.shape[0]
+    cap = min(args.max_n, ENUMERATION_CAP)
+    if args.full and n > cap:
+        print(f"error: refusing to enumerate 2**{n} elements (cap n <= {cap})", file=sys.stderr)
+        return 3
     dec = symmetric_eigen(m)
     group = conjugated_group(dec.vectors)
-    n = group.n
-    if args.full and n > args.max_n:
-        print(
-            f"error: refusing to enumerate 2**{n} elements (cap n <= {args.max_n})",
-            file=sys.stderr,
-        )
-        return 3
     print(f"n: {n}")
     print(f"order: {group.order}")
     if args.full:
         print("elements:")
-        for element in enumerate_group(group.basis, n_cap=args.max_n):
+        for element in enumerate_group(group.basis, n_cap=cap):
             print(f"pattern {element.pattern}:")
             _print_matrix(element.matrix)
     else:
@@ -295,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_group.add_mutually_exclusive_group()
     mode.add_argument("--full", action="store_true", help="print all 2**n elements")
     mode.add_argument("--generators", action="store_true", help="print only the n generators (default)")
-    p_group.add_argument("--max-n", type=int, default=12, help="cap for full enumeration")
+    p_group.add_argument(
+        "--max-n", type=int, default=12,
+        help=f"cap for full enumeration (at most {ENUMERATION_CAP})",
+    )
     p_group.set_defaults(func=run_group)
 
     p_st = sub.add_parser("stencil", help="four-point fourth-order stencil across a scale ladder")

@@ -1,7 +1,11 @@
-"""Dense real/complex matrix predicates and Jacobi eigensolvers.
+"""Dense real/complex matrix predicates and a cyclic Jacobi eigensolver.
 
-Matrices are plain square numpy arrays (float64 or complex128).  The
-eigensolvers follow one fixed convention throughout the package: the
+Matrices are plain square numpy arrays (float64 or complex128).  One Jacobi
+kernel serves both :func:`symmetric_eigen` and :func:`hermitian_eigen`: a
+complex rotation removes the pivot's unit phase before the real rotation,
+and real input is the case where that phase is 1.
+
+The eigensolvers follow one fixed convention throughout the package: the
 returned ``vectors`` array stores unit eigenvectors in its *rows*, so that
 ``vectors @ A @ vectors.T`` (``.conj().T`` in the Hermitian case) is the
 diagonal matrix of eigenvalues, sorted ascending.
@@ -82,15 +86,6 @@ def off_diagonal_norm(a) -> float:
     """Frobenius norm of the off-diagonal part."""
     m = np.asarray(a)
     return frobenius(m - np.diag(np.diag(m)))
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    ma = as_matrix(a, name="a")
-    mb = as_matrix(b, name="b")
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"cannot multiply {ma.shape} by {mb.shape}")
-    return ma @ mb
 
 
 def commutator_norm(a, b) -> float:
@@ -206,6 +201,71 @@ def _finalize(a: np.ndarray, diag: np.ndarray, rows: np.ndarray) -> EigenDecompo
     return EigenDecomposition(values=values, vectors=vectors, residual=off_diagonal_norm(recon))
 
 
+def _jacobi(
+    a: np.ndarray, norm_a: float, tol: float, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi sweeps on a validated self-adjoint matrix.
+
+    Returns the unsorted eigenvalues and the eigenvector rows.  Each rotation
+    on pivot ``(p, q)`` writes ``a_pq = r * phase`` with ``|phase| = 1`` and
+    composes that phase with the real rotation annihilating ``r``; real input
+    is the unit-phase case ``r = a_pq``, ``phase = 1``.
+    """
+    hermitian = a.dtype.kind == "c"
+    n = a.shape[0]
+    work = a.copy()
+    acc = np.eye(n, dtype=a.dtype)
+
+    sweeps = 0
+    while off_diagonal_norm(work) > tol * norm_a:
+        if sweeps >= max_sweeps:
+            raise NoConvergenceError(
+                f"off-diagonal norm {off_diagonal_norm(work):.3e} above "
+                f"{tol:.1e} * ||a||_F after {max_sweeps} sweeps"
+            )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = work[p, q]
+                r = abs(apq)
+                if r < PIVOT_SKIP:
+                    continue
+                if hermitian:
+                    phase = apq / r
+                else:
+                    r, phase = apq, 1.0
+                # a plain float keeps the scalar chain below out of NumPy
+                tau = float((work[q, q].real - work[p, p].real) / (2.0 * r))
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+
+                # U restricted to (p, q): [[c, s], [-s/phase, c/phase]]
+                col_p = work[:, p].copy()
+                col_q = work[:, q].copy()
+                work[:, p] = c * col_p - (s / phase) * col_q
+                work[:, q] = s * col_p + (c / phase) * col_q
+                row_p = work[p, :].copy()
+                row_q = work[q, :].copy()
+                work[p, :] = c * row_p - (s * phase) * row_q
+                work[q, :] = s * row_p + (c * phase) * row_q
+                work[p, q] = 0.0
+                work[q, p] = 0.0
+                if hermitian:
+                    work[p, p] = work[p, p].real
+                    work[q, q] = work[q, q].real
+
+                col_p = acc[:, p].copy()
+                col_q = acc[:, q].copy()
+                acc[:, p] = c * col_p - (s / phase) * col_q
+                acc[:, q] = s * col_p + (c / phase) * col_q
+        sweeps += 1
+
+    return np.diag(work).real.copy(), acc.conj().T.copy()
+
+
 def symmetric_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
     """Diagonalize a symmetric real matrix by cyclic Jacobi rotations.
 
@@ -223,48 +283,7 @@ def symmetric_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecompo
     norm_a = _check_eigen_input(a, max_sweeps)
     if not is_symmetric(a, 1e-12 * norm_a):
         raise NotSymmetricError("input matrix is not symmetric")
-    n = a.shape[0]
-    work = a.copy()
-    acc = np.eye(n)
-
-    sweeps = 0
-    while off_diagonal_norm(work) > tol * norm_a:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError(
-                f"off-diagonal norm {off_diagonal_norm(work):.3e} above "
-                f"{tol:.1e} * ||a||_F after {max_sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) < PIVOT_SKIP:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-
-                col_p = acc[:, p].copy()
-                col_q = acc[:, q].copy()
-                acc[:, p] = c * col_p - s * col_q
-                acc[:, q] = s * col_p + c * col_q
-        sweeps += 1
-
-    return _finalize(a, np.diag(work).copy(), acc.T.copy())
+    return _finalize(a, *_jacobi(a, norm_a, tol, max_sweeps))
 
 
 def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
@@ -285,50 +304,4 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecompo
     norm_a = _check_eigen_input(a, max_sweeps)
     if not is_hermitian(a, 1e-12 * norm_a):
         raise NotHermitianError("input matrix is not Hermitian")
-    n = a.shape[0]
-    work = a.copy()
-    acc = np.eye(n, dtype=np.complex128)
-
-    sweeps = 0
-    while off_diagonal_norm(work) > tol * norm_a:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError(
-                f"off-diagonal norm {off_diagonal_norm(work):.3e} above "
-                f"{tol:.1e} * ||a||_F after {max_sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r < PIVOT_SKIP:
-                    continue
-                phase = apq / r
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                # U restricted to (p, q): [[c, s], [-s/phase, c/phase]]
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - (s / phase) * col_q
-                work[:, q] = s * col_p + (c / phase) * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - (s * phase) * row_q
-                work[q, :] = s * row_p + (c * phase) * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-
-                col_p = acc[:, p].copy()
-                col_q = acc[:, q].copy()
-                acc[:, p] = c * col_p - (s / phase) * col_q
-                acc[:, q] = s * col_p + (c / phase) * col_q
-        sweeps += 1
-
-    return _finalize(a, np.diag(work).real.copy(), acc.conj().T.copy())
+    return _finalize(a, *_jacobi(a, norm_a, tol, max_sweeps))

@@ -23,6 +23,7 @@ from .linalg import (
     DimensionTooLargeError,
     NotHermitianError,
     as_complex_matrix,
+    as_matrix,
     as_real_matrix,
     commutator_norm,
     frobenius,
@@ -88,14 +89,9 @@ class SignPattern:
         return tuple(i for i, s in enumerate(self.signs) if s < 0)
 
 
-def sign_matrix(pattern: SignPattern) -> np.ndarray:
-    """Diagonal matrix with the pattern's signs on the diagonal."""
-    return np.diag(np.array(pattern.signs, dtype=np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class SignGroupElement:
-    """Symmetric involution obtained by conjugating a sign matrix."""
+    """Self-adjoint involution obtained by conjugating a sign matrix."""
 
     matrix: np.ndarray
     pattern: SignPattern
@@ -113,28 +109,18 @@ def _check_basis(v: np.ndarray) -> None:
 
 
 def _element_matrix(v: np.ndarray, pattern: SignPattern) -> np.ndarray:
+    """``V* diag(signs) V`` as ``I - 2 * sum of flipped-row projectors``."""
     rows = v[list(pattern.flipped), :]
-    return np.eye(v.shape[0]) - 2.0 * rows.T @ rows
-
-
-def conjugated_element(v, pattern: SignPattern) -> SignGroupElement:
-    """Build ``V^T diag(signs) V`` as ``I - 2 * sum of flipped-row projectors``."""
-    m = as_real_matrix(v, name="basis")
-    if m.shape[0] != len(pattern):
-        raise DimensionMismatchError(
-            f"basis is {m.shape[0]}x{m.shape[0]} but pattern has length {len(pattern)}"
-        )
-    _check_basis(m)
-    return SignGroupElement(_element_matrix(m, pattern), pattern)
+    return np.eye(v.shape[0], dtype=v.dtype) - 2.0 * rows.conj().T @ rows
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugatedSignGroup:
     """The group ``{V^T s V}`` over all sign matrices ``s``, held by generators.
 
-    ``basis`` is the orthogonal matrix whose rows define the reflections;
-    ``generators[i]`` flips sign ``i`` only.  Arbitrary elements are built on
-    demand from their pattern.
+    ``basis`` is the orthogonal (for normality checks, unitary) matrix whose
+    rows define the reflections; ``generators[i]`` flips sign ``i`` only.
+    Arbitrary elements are built on demand from their pattern.
     """
 
     basis: np.ndarray
@@ -160,12 +146,16 @@ def conjugated_group(v) -> ConjugatedSignGroup:
     """Construct the conjugated sign group with the given orthogonal basis."""
     m = as_real_matrix(v, name="basis")
     _check_basis(m)
-    n = m.shape[0]
-    gens = []
-    for i in range(n):
-        pattern = SignPattern(tuple(-1 if j == i else 1 for j in range(n)))
-        gens.append(SignGroupElement(_element_matrix(m, pattern), pattern))
-    return ConjugatedSignGroup(m, tuple(gens))
+    return _group(m)
+
+
+def _group(basis: np.ndarray) -> ConjugatedSignGroup:
+    """The group on an already validated orthogonal or unitary basis."""
+    n = basis.shape[0]
+    patterns = (SignPattern(tuple(-1 if j == i else 1 for j in range(n))) for i in range(n))
+    return ConjugatedSignGroup(
+        basis, tuple(SignGroupElement(_element_matrix(basis, p), p) for p in patterns)
+    )
 
 
 def all_patterns(n: int):
@@ -175,7 +165,11 @@ def all_patterns(n: int):
 
 
 def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
-    """Yield all ``2**n`` elements of the conjugated group, ``+`` before ``-``."""
+    """Yield all ``2**n`` elements of the conjugated group, ``+`` before ``-``.
+
+    The element at position ``k`` is the one whose flipped signs form the
+    bitmask ``k``, with bit 0 for the last sign.
+    """
     m = as_real_matrix(v, name="basis")
     n = m.shape[0]
     if n > n_cap:
@@ -187,17 +181,9 @@ def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
         yield SignGroupElement(_element_matrix(m, pattern), pattern)
 
 
-def _pattern_index(pattern: SignPattern) -> int:
-    """Position of the pattern in ``all_patterns`` order (bit 0 = last sign)."""
-    idx = 0
-    for s in pattern.signs:
-        idx = (idx << 1) | (s < 0)
-    return idx
-
-
 def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
     """Largest ``||gA - Ag||_F`` over the group's generators."""
-    m = as_real_matrix(a, name="a")
+    m = as_matrix(a, name="a")
     if m.shape[0] != group.n:
         raise DimensionMismatchError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but group acts on dimension {group.n}"
@@ -221,40 +207,30 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
     if tol is None:
         tol = default_tolerance(m)
     if exhaustive:
-        worst = max(
-            commutator_norm(g.matrix, m)
-            for g in enumerate_group(group.basis, n_cap=FULL_AUDIT_CAP)
-        )
-        return worst <= tol
-    return max_generator_commutator(m, group) <= tol
+        elements = enumerate_group(group.basis, n_cap=FULL_AUDIT_CAP)
+    else:
+        elements = group.generators
+    return all(commutator_norm(g.matrix, m) <= tol for g in elements)
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:
     """True when ``B`` commutes with every diagonal sign matrix.
 
     Equivalent to ``B`` being diagonal; the generators are the single-flip
-    sign matrices.
+    sign matrices, i.e. the conjugated group on the identity basis.
     """
     m = as_real_matrix(b, name="b")
-    n = m.shape[0]
-    if tol is None:
-        tol = default_tolerance(m)
-    if exhaustive:
-        if n > FULL_AUDIT_CAP:
-            raise DimensionTooLargeError(
-                f"exhaustive check refuses n > {FULL_AUDIT_CAP}, got n = {n}"
-            )
-        patterns = all_patterns(n)
-    else:
-        patterns = (
-            SignPattern(tuple(-1 if j == i else 1 for j in range(n))) for i in range(n)
-        )
-    return all(commutator_norm(sign_matrix(p), m) <= tol for p in patterns)
+    return is_equivariant(m, np.eye(m.shape[0]), tol, exhaustive)
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetryCheck:
-    """Outcome of the equivariance-based symmetry decision."""
+class EquivarianceCheck:
+    """Outcome of an equivariance-based symmetry or normality decision.
+
+    ``basis`` holds the rows that define the group's generators and
+    ``max_commutator`` the largest generator commutator norm, compared
+    against ``tol`` for the ``verdict``.
+    """
 
     verdict: bool
     basis: np.ndarray
@@ -262,7 +238,7 @@ class SymmetryCheck:
     tol: float
 
 
-def symmetry_via_equivariance(a, tol: float | None = None) -> SymmetryCheck:
+def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
     """Decide symmetry of ``A`` by commutation with a conjugated sign group.
 
     The basis is the eigenvector-row matrix of the symmetric part
@@ -276,20 +252,10 @@ def symmetry_via_equivariance(a, tol: float | None = None) -> SymmetryCheck:
     eig = symmetric_eigen(sym_part)
     group = conjugated_group(eig.vectors)
     worst = max_generator_commutator(m, group)
-    return SymmetryCheck(bool(worst <= tol), eig.vectors, worst, tol)
+    return EquivarianceCheck(bool(worst <= tol), eig.vectors, worst, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalityCheck:
-    """Outcome of the equivariance-based normality decision."""
-
-    verdict: bool
-    basis: np.ndarray
-    max_commutator: float
-    tol: float
-
-
-def normality_via_equivariance(a, w=None, tol: float | None = None) -> NormalityCheck:
+def normality_via_equivariance(a, w=None, tol: float | None = None) -> EquivarianceCheck:
     """Decide normality of complex ``A`` by commutation with ``I - 2 w_i* w_i^T``.
 
     ``w`` must be unitary with rows forming the basis; when omitted, ``A``
@@ -314,12 +280,8 @@ def normality_via_equivariance(a, w=None, tol: float | None = None) -> Normality
             )
         if not is_unitary(basis, BASIS_TOL):
             raise NotUnitaryError(f"basis rows are not unitary within {BASIS_TOL:g}")
-    eye = np.eye(m.shape[0], dtype=np.complex128)
-    worst = 0.0
-    for row in basis:
-        g = eye - 2.0 * np.outer(row.conj(), row)
-        worst = max(worst, commutator_norm(g, m))
-    return NormalityCheck(bool(worst <= tol), basis, worst, tol)
+    worst = max_generator_commutator(m, _group(basis))
+    return EquivarianceCheck(bool(worst <= tol), basis, worst, tol)
 
 
 @dataclass(frozen=True)
@@ -342,7 +304,9 @@ def group_properties_check(
     With ``exhaustive`` unset, all ``2**n`` elements are audited when
     ``n <= 12`` and only the generators otherwise.  Closure compares each
     product against the element whose pattern is the entrywise product of
-    the factors' patterns.
+    the factors' patterns: the element at the XOR of the two bitmask
+    positions in exhaustive mode, and ``g_i + g_j - I`` (``I`` when
+    ``i == j``) for two generators.
     """
     n = group.n
     if exhaustive is None:
@@ -352,32 +316,23 @@ def group_properties_check(
             f"exhaustive audit refuses n > {FULL_AUDIT_CAP}, got n = {n}"
         )
 
-    if exhaustive:
-        elements = list(enumerate_group(group.basis))
-        stack = np.stack([e.matrix for e in elements])
-    else:
-        elements = list(group.generators)
-        stack = np.stack([e.matrix for e in elements])
+    elements = enumerate_group(group.basis) if exhaustive else group.generators
+    stack = np.stack([e.matrix for e in elements])
+    positions = np.arange(len(stack))
 
     eye = np.eye(n)
     involution = max(frobenius(m @ m - eye) for m in stack)
 
     commutation = 0.0
     closure = 0.0
-    for i, left in enumerate(elements):
-        products = left.matrix @ stack
-        flipped = stack @ left.matrix
-        commutation = max(commutation, _max_fro(products - flipped))
+    for i, left in enumerate(stack):
+        products = left @ stack
+        commutation = max(commutation, _max_fro(products - stack @ left))
         if exhaustive:
-            li = _pattern_index(left.pattern)
-            expect = stack[[li ^ _pattern_index(r.pattern) for r in elements]]
+            expect = stack[positions ^ i]
         else:
-            expect = np.stack(
-                [
-                    _element_matrix(group.basis, _merge(left.pattern, r.pattern))
-                    for r in elements
-                ]
-            )
+            expect = stack + (left - eye)
+            expect[i] = eye
         closure = max(closure, _max_fro(products - expect))
 
     return GroupAudit(
@@ -388,10 +343,6 @@ def group_properties_check(
         closure_ok=closure <= CLOSURE_TOL,
         exhaustive=exhaustive,
     )
-
-
-def _merge(p: SignPattern, q: SignPattern) -> SignPattern:
-    return SignPattern(tuple(a * b for a, b in zip(p.signs, q.signs)))
 
 
 def _max_fro(batch: np.ndarray) -> float:

@@ -35,6 +35,13 @@ def hessian_file(tmp_path):
 
 
 @pytest.fixture()
+def hermitian_file(tmp_path):
+    path = tmp_path / "herm.txt"
+    write_matrix(path, random_hermitian(np.random.default_rng(8), 3))
+    return str(path)
+
+
+@pytest.fixture()
 def asymmetric_file(tmp_path):
     path = tmp_path / "asym.txt"
     write_matrix(path, np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -106,6 +113,12 @@ class TestCheck:
         assert "symmetric: no" in out
         assert "max generator commutator" in out
 
+    def test_complex_input_exits_2(self, capsys, hermitian_file):
+        code, out, err = run(capsys, "check", hermitian_file)
+        assert code == 2
+        assert err.startswith("error:") and "complex" in err
+        assert "Traceback" not in out + err
+
 
 class TestGroup:
     def test_generators_default(self, capsys, hessian_file):
@@ -133,6 +146,21 @@ class TestGroup:
         code, out, err = run(capsys, "group", "--full", "--max-n", "13", str(path))
         assert code == 0
         assert "order: 8192" in out
+
+    def test_max_n_capped_at_enumeration_cap(self, capsys, tmp_path):
+        # refused before any element is built, whatever --max-n says
+        path = tmp_path / "diag21.txt"
+        write_matrix(path, np.diag(np.arange(1.0, 22.0)))
+        code, out, err = run(capsys, "group", "--full", "--max-n", "40", str(path))
+        assert code == 3
+        assert "cap n <= 20" in err
+        assert "pattern" not in out
+
+    def test_complex_input_exits_2(self, capsys, hermitian_file):
+        code, out, err = run(capsys, "group", hermitian_file)
+        assert code == 2
+        assert err.startswith("error:") and "complex" in err
+        assert "Traceback" not in out + err
 
 
 class TestStencil:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
     REF_REFLECTION_4DP,
     random_hermitian,
+    random_orthogonal,
     random_symmetric,
     reference_hessian,
 )
@@ -28,50 +31,9 @@ from signflip.linalg import (
     is_orthogonal,
     is_symmetric,
     is_unitary,
-    multiply,
     off_diagonal_norm,
     symmetric_eigen,
 )
-
-
-def triple_loop_product(a, b):
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMultiply:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(multiply(a, np.eye(2)), a)
-
-    def test_sign_flip(self):
-        exchange = np.array([[0.0, 1.0], [1.0, 0.0]])
-        flip = np.diag([1.0, -1.0])
-        assert np.array_equal(
-            multiply(flip, exchange), np.array([[0.0, 1.0], [-1.0, 0.0]])
-        )
-
-    @pytest.mark.parametrize("n", [3, 4, 8])
-    def test_matches_triple_loop(self, n):
-        rng = np.random.default_rng(100 + n)
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=(n, n))
-        assert_allclose(multiply(a, b), triple_loop_product(a, b), rtol=1e-13, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            multiply(np.eye(2), np.eye(3))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            multiply(np.ones((2, 3)), np.ones((3, 2)))
 
 
 class TestNormsAndCommutator:
@@ -295,3 +257,21 @@ class TestHermitianEigen:
         d1 = hermitian_eigen(a)
         d2 = hermitian_eigen(a)
         assert np.array_equal(d1.vectors, d2.vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**31 - 1))
+def test_real_input_parity(n, seed):
+    """Both solvers run one kernel, so on real symmetric input with a spectral
+    gap the Hermitian path reproduces the real one to rounding."""
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(rng, n)
+    spectrum = np.cumsum(rng.uniform(0.1, 2.0, size=n)) - rng.uniform(0.0, n)
+    s = q.T @ np.diag(spectrum) @ q
+    s = 0.5 * (s + s.T)
+    real = symmetric_eigen(s)
+    herm = hermitian_eigen(s)
+    scale = frobenius(s)
+    gap = np.min(np.diff(real.values), initial=np.inf)
+    assert np.max(np.abs(herm.values - real.values)) <= 1e-13 * scale
+    assert np.max(np.abs(herm.vectors - real.vectors)) <= 1e-12 * scale / gap

@@ -31,7 +31,6 @@ from signflip.signgroup import (
     SignPattern,
     all_patterns,
     commutes_with_sign_group,
-    conjugated_element,
     conjugated_group,
     default_tolerance,
     enumerate_group,
@@ -39,7 +38,6 @@ from signflip.signgroup import (
     is_equivariant,
     max_generator_commutator,
     normality_via_equivariance,
-    sign_matrix,
     symmetry_via_equivariance,
 )
 
@@ -67,24 +65,17 @@ class TestSignPattern:
         with pytest.raises(ValueError):
             SignPattern((1, 0, -1))
 
-    def test_sign_matrix(self):
-        assert np.array_equal(sign_matrix(SignPattern.from_string("+++")), np.eye(3))
-        assert np.array_equal(
-            sign_matrix(SignPattern.from_string("-+")), np.diag([-1.0, 1.0])
-        )
-        assert np.array_equal(sign_matrix(SignPattern.from_string("--")), -np.eye(2))
-
 
 class TestConjugatedElement:
     def test_all_plus_gives_identity(self):
         rng = np.random.default_rng(0)
         v = random_orthogonal(rng, 4)
-        e = conjugated_element(v, SignPattern.from_string("++++"))
+        e = conjugated_group(v).element(SignPattern.from_string("++++"))
         assert_allclose(e.matrix, np.eye(4), atol=1e-14)
 
     def test_identity_basis_recovers_sign_matrix(self):
         p = SignPattern.from_string("-+")
-        e = conjugated_element(np.eye(2), p)
+        e = conjugated_group(np.eye(2)).element(p)
         assert np.array_equal(e.matrix, np.diag([-1.0, 1.0]))
 
     def test_projector_form_equals_direct_conjugation(self):
@@ -93,8 +84,8 @@ class TestConjugatedElement:
         for n in (1, 2, 3, 5, 8):
             v = random_orthogonal(rng, n)
             for pattern in all_patterns(n):
-                direct = v.T @ sign_matrix(pattern) @ v
-                built = conjugated_element(v, pattern).matrix
+                direct = v.T @ np.diag(pattern.signs) @ v
+                built = conjugated_group(v).element(pattern).matrix
                 assert_allclose(built, direct, atol=1e-13)
 
     def test_single_flip_is_householder_reflection(self):
@@ -102,7 +93,7 @@ class TestConjugatedElement:
         v = random_orthogonal(rng, 5)
         row = v[2]
         pattern = SignPattern((1, 1, -1, 1, 1))
-        e = conjugated_element(v, pattern)
+        e = conjugated_group(v).element(pattern)
         assert_allclose(e.matrix, np.eye(5) - 2.0 * np.outer(row, row), atol=1e-14)
 
     def test_elements_are_symmetric_orthogonal_involutions(self):
@@ -115,20 +106,20 @@ class TestConjugatedElement:
 
     def test_rejects_non_orthogonal_basis(self):
         with pytest.raises(NotOrthogonalError):
-            conjugated_element(np.array([[1.0, 1.0], [0.0, 1.0]]), SignPattern((1, -1)))
+            conjugated_group(np.array([[1.0, 1.0], [0.0, 1.0]])).element(SignPattern((1, -1)))
 
     def test_rejects_pattern_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            conjugated_element(np.eye(3), SignPattern((1, -1)))
+            conjugated_group(np.eye(3)).element(SignPattern((1, -1)))
 
     def test_reference_reflection(self):
         dec = symmetric_eigen(reference_hessian())
-        e = conjugated_element(dec.vectors, SignPattern.from_string("-++"))
+        e = conjugated_group(dec.vectors).element(SignPattern.from_string("-++"))
         assert float(np.max(np.abs(e.matrix - REF_REFLECTION_4DP))) <= 5e-5
 
     def test_reference_reflection_flips_first_eigenvector(self):
         dec = symmetric_eigen(reference_hessian())
-        e = conjugated_element(dec.vectors, SignPattern.from_string("-++"))
+        e = conjugated_group(dec.vectors).element(SignPattern.from_string("-++"))
         v1 = dec.vectors[0]
         assert_allclose(e.matrix @ v1, -v1, atol=1e-12)
         assert_allclose(e.matrix @ dec.vectors[1], dec.vectors[1], atol=1e-12)
@@ -151,6 +142,15 @@ class TestEnumeration:
     def test_n1_elements(self):
         elements = list(enumerate_group(np.eye(1)))
         assert [e.matrix[0, 0] for e in elements] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_position_is_pattern_bitmask(self, n):
+        # element k flips exactly the signs whose bits are set in k (bit 0 = last sign)
+        rng = np.random.default_rng(30 + n)
+        group = conjugated_group(random_orthogonal(rng, n))
+        for k, e in enumerate(enumerate_group(group.basis)):
+            assert sum(1 << (n - 1 - i) for i in e.pattern.flipped) == k
+            assert np.array_equal(e.matrix, group.element(e.pattern).matrix)
 
     def test_cap_enforced(self):
         with pytest.raises(DimensionTooLargeError):
@@ -186,6 +186,24 @@ class TestGroupAudit:
             assert audit.involution_max_err <= 1e-12
             assert audit.commutation_max_err <= 1e-12
             assert audit.closure_max_err <= 1e-12
+
+    def test_exhaustive_closure_matches_pairwise_loop(self):
+        # every pair multiplied separately and compared with the element built
+        # from the product pattern; einsum sums squares as the audit does
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 4):
+            group = conjugated_group(random_orthogonal(rng, n))
+            elements = list(enumerate_group(group.basis))
+            worst = 0.0
+            for left in elements:
+                for right in elements:
+                    merged = SignPattern(
+                        tuple(a * b for a, b in zip(left.pattern.signs, right.pattern.signs))
+                    )
+                    d = left.matrix @ right.matrix - group.element(merged).matrix
+                    worst = max(worst, math.sqrt(np.einsum("ij,ij->", d, d)))
+            audit = group_properties_check(group, exhaustive=True)
+            assert audit.closure_max_err == worst
 
     def test_generator_mode_above_cap(self):
         group = conjugated_group(np.eye(13))
