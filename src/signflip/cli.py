@@ -112,6 +112,8 @@ def run_eig(args) -> int:
                     "values": [float(v) for v in dec.values],
                     "V": _jsonable_matrix(dec.vectors),
                     "residual": float(dec.residual),
+                    "sweeps": dec.sweeps,
+                    "rotations": dec.rotations,
                 }
             )
         )
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eig", help="eigendecomposition of a symmetric (or Hermitian) matrix file")
     p_eig.add_argument("matrix", help="path to a matrix text file")
     p_eig.add_argument("--tol", type=float, default=1e-12, help="off-diagonal convergence tolerance")
-    p_eig.add_argument("--json", action="store_true", help="emit {values, V, residual} as JSON")
+    p_eig.add_argument("--json", action="store_true", help="emit {values, V, residual, sweeps, rotations} as JSON")
     p_eig.set_defaults(func=run_eig)
 
     p_check = sub.add_parser("check", help="decide symmetry via sign-group equivariance")

@@ -1,9 +1,13 @@
-"""Dense real/complex matrix predicates and a cyclic Jacobi eigensolver.
+"""Dense real/complex matrix predicates and a round-robin Jacobi eigensolver.
 
 Matrices are plain square numpy arrays (float64 or complex128).  One Jacobi
 kernel serves both :func:`symmetric_eigen` and :func:`hermitian_eigen`: a
 complex rotation removes the pivot's unit phase before the real rotation,
-and real input is the case where that phase is 1.
+and real input is the case where that phase is 1.  Each sweep visits the
+pivots in the round-robin (tournament) order of Brent & Luk: rounds of
+``n // 2`` pivots that share no row or column, each round applied as one
+sparse rotation product.  Input is first scaled exactly by a power of two,
+so its norm cannot overflow and ``PIVOT_SKIP`` is relative to its size.
 
 The eigensolvers follow one fixed convention throughout the package: the
 returned ``vectors`` array stores unit eigenvectors in its *rows*, so that
@@ -13,6 +17,7 @@ diagonal matrix of eigenvalues, sorted ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +82,37 @@ def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
     return as_matrix(a, name=name).astype(np.complex128, copy=False)
 
 
+def _exponent(m: np.ndarray) -> int:
+    """Binary exponent ``e`` with every real and imaginary part of ``m`` below ``2**e``."""
+    parts = (m.real, m.imag) if m.dtype.kind == "c" else (m,)
+    return math.frexp(max(float(np.max(np.abs(p), initial=0.0)) for p in parts))[1]
+
+
+def _times_power_of_two(m, e: int):
+    """``m * 2**e``, exact wherever the result is a normal float.
+
+    Two factors keep each power of two representable for every exponent a
+    finite float can need.
+    """
+    half = e // 2
+    return m * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
+
+
 def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, free of overflow and underflow in the sum of squares."""
+    m = np.asarray(a)
+    if m.dtype.kind != "c":
+        m = m.astype(np.float64, copy=False)
+    # vdot sums the squares in BLAS, which raises no overflow warning; a
+    # zero matrix, common among commutators, is exact without rescaling
+    norm = math.sqrt(np.vdot(m, m).real)
+    if 1e-150 <= norm < math.inf or not np.count_nonzero(m):
+        return norm
+    # The squares overflowed or lost digits to underflow: sum them again on
+    # the matrix brought to unit scale, which is exact.
+    e = _exponent(m)
+    unit = _times_power_of_two(m, -e)
+    return _times_power_of_two(math.sqrt(np.vdot(unit, unit).real), e)
 
 
 def off_diagonal_norm(a) -> float:
@@ -155,26 +188,37 @@ class EigenDecomposition:
     ``vectors`` is orthogonal (unitary in the Hermitian case) with row ``i``
     the unit eigenvector of ``values[i]``, so ``vectors @ A @ vectors.T``
     reconstructs ``diag(values)``.  ``residual`` is the Frobenius norm of the
-    off-diagonal part of that reconstruction.
+    off-diagonal part of that reconstruction.  ``sweeps`` counts the Jacobi
+    sweeps run and ``rotations`` the pivots actually rotated.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residual: float
+    sweeps: int
+    rotations: int
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-def _check_eigen_input(a: np.ndarray, max_sweeps: int) -> float:
+def _prepare(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int, float]:
+    """Check the guards and bring ``a`` to unit scale.
+
+    Returns ``a * 2**-e`` with its largest part in ``[1/2, 1)``, the exponent
+    ``e`` and the scaled matrix's norm.  Power-of-two scaling is exact, so the
+    norm cannot overflow and ``2**k * a`` yields the same scaled matrix.
+    """
     if a.shape[0] > MAX_EIGEN_N:
         raise DimensionTooLargeError(
             f"eigensolver supports n <= {MAX_EIGEN_N}, got n = {a.shape[0]}"
         )
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    return frobenius(a)
+    e = _exponent(a)
+    scaled = _times_power_of_two(a, -e)
+    return scaled, e, frobenius(scaled)
 
 
 def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
@@ -193,104 +237,135 @@ def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finalize(a: np.ndarray, diag: np.ndarray, rows: np.ndarray) -> EigenDecomposition:
+def _finalize(
+    a: np.ndarray, e: int, diag: np.ndarray, rows: np.ndarray, sweeps: int, rotations: int
+) -> EigenDecomposition:
+    """Sort and normalize the solution for the scaled ``a``, then undo the scale ``2**-e``."""
     order = np.argsort(diag, kind="stable")
-    values = diag[order]
     vectors = _normalize_row_signs(rows[order])
     recon = vectors @ a @ vectors.conj().T
-    return EigenDecomposition(values=values, vectors=vectors, residual=off_diagonal_norm(recon))
+    return EigenDecomposition(
+        values=_times_power_of_two(diag[order], e),
+        vectors=vectors,
+        residual=_times_power_of_two(off_diagonal_norm(recon), e),
+        sweeps=sweeps,
+        rotations=rotations,
+    )
+
+
+@functools.lru_cache(maxsize=MAX_EIGEN_N)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pivot rounds of one sweep, as ``(p, q)`` index arrays with ``p < q``.
+
+    Every pair is met once per sweep and the pairs of a round are disjoint
+    (Brent & Luk's parallel ordering).  It is the circle method of a
+    round-robin tournament: ``n`` rounded up to an even count of seats, seat 0
+    fixed and the others moved on one seat per round, giving ``n - 1`` rounds
+    (``n`` for odd ``n``, where the pair holding the spare seat idles).
+    """
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [(min(p, q), max(p, q)) for p, q in zip(ring[: m // 2], reversed(ring))]
+        index = np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).reshape(-1, 2)
+        index.flags.writeable = False
+        rounds.append((index[:, 0], index[:, 1]))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return tuple(rounds)
 
 
 def _jacobi(
     a: np.ndarray, norm_a: float, tol: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a validated self-adjoint matrix.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Round-robin Jacobi sweeps on a validated self-adjoint matrix.
 
-    Returns the unsorted eigenvalues and the eigenvector rows.  Each rotation
-    on pivot ``(p, q)`` writes ``a_pq = r * phase`` with ``|phase| = 1`` and
-    composes that phase with the real rotation annihilating ``r``; real input
-    is the unit-phase case ``r = a_pq``, ``phase = 1``.
+    Returns the unsorted eigenvalues, the eigenvector rows, the sweep count
+    and the rotation count.  Each rotation on pivot ``(p, q)`` writes
+    ``a_pq = r * phase`` with ``|phase| = 1`` and composes that phase with the
+    real rotation annihilating ``r``; real input is the unit-phase case
+    ``r = a_pq``, ``phase = 1``.  The pivots of a round share no row or
+    column, so their rotations are all computed from the matrix before the
+    round, equal those of applying them one by one, and are applied together
+    as one rotation matrix ``J``: ``work = J* work J``.
     """
     hermitian = a.dtype.kind == "c"
     n = a.shape[0]
     work = a.copy()
     acc = np.eye(n, dtype=a.dtype)
 
-    sweeps = 0
+    sweeps = rotations = 0
     while off_diagonal_norm(work) > tol * norm_a:
         if sweeps >= max_sweeps:
             raise NoConvergenceError(
                 f"off-diagonal norm {off_diagonal_norm(work):.3e} above "
                 f"{tol:.1e} * ||a||_F after {max_sweeps} sweeps"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r < PIVOT_SKIP:
+        for p, q in _round_robin(n):
+            apq = work[p, q]
+            r = np.abs(apq)
+            live = r >= PIVOT_SKIP
+            if not live.all():
+                p, q, apq, r = p[live], q[live], apq[live], r[live]
+                if not len(p):
                     continue
-                if hermitian:
-                    phase = apq / r
-                else:
-                    r, phase = apq, 1.0
-                # a plain float keeps the scalar chain below out of NumPy
-                tau = float((work[q, q].real - work[p, p].real) / (2.0 * r))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
+            if hermitian:
+                phase = apq / r
+            else:
+                r, phase = apq, 1.0
+            diag = work.diagonal().real
+            tau = (diag[q] - diag[p]) / (2.0 * r)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
 
-                # U restricted to (p, q): [[c, s], [-s/phase, c/phase]]
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - (s / phase) * col_q
-                work[:, q] = s * col_p + (c / phase) * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - (s * phase) * row_q
-                work[q, :] = s * row_p + (c * phase) * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                if hermitian:
-                    work[p, p] = work[p, p].real
-                    work[q, q] = work[q, q].real
-
-                col_p = acc[:, p].copy()
-                col_q = acc[:, q].copy()
-                acc[:, p] = c * col_p - (s / phase) * col_q
-                acc[:, q] = s * col_p + (c / phase) * col_q
+            # J restricted to (p, q): [[c, s], [-s/phase, c/phase]]
+            rot = np.eye(n, dtype=a.dtype)
+            rot[p, p] = c
+            rot[p, q] = s
+            rot[q, p] = -s / phase
+            rot[q, q] = c / phase
+            work = rot.conj().T @ work @ rot
+            work[p, q] = 0.0
+            work[q, p] = 0.0
+            if hermitian:
+                pq = np.concatenate((p, q))
+                work[pq, pq] = work[pq, pq].real
+            acc = acc @ rot
+            rotations += len(p)
         sweeps += 1
 
-    return np.diag(work).real.copy(), acc.conj().T.copy()
+    return np.diag(work).real.copy(), acc.conj().T.copy(), sweeps, rotations
 
 
 def symmetric_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
-    """Diagonalize a symmetric real matrix by cyclic Jacobi rotations.
+    """Diagonalize a symmetric real matrix by round-robin Jacobi rotations.
 
-    Sweeps visit pivots ``(p, q)`` with ``p < q`` in row-major order and stop
-    once the off-diagonal Frobenius norm drops below ``tol * ||a||_F``.  The
-    result is deterministic: eigenvalues ascending, each eigenvector row
-    sign-normalized so its largest-magnitude component is positive.
+    Each sweep visits every pivot ``(p, q)`` once, in rounds of ``n // 2``
+    pivots that share no row or column, and sweeps stop once the
+    off-diagonal Frobenius norm drops below ``tol * ||a||_F``.  The matrix
+    is first scaled exactly by a power of two, so ``2**k * a`` gives the same
+    vectors and ``2**k`` times the values.  The result is deterministic:
+    eigenvalues ascending, each eigenvector row sign-normalized so its
+    largest-magnitude component is positive.
 
     Raises:
         NotSymmetricError: if ``a`` is not symmetric to ``1e-12 * ||a||_F``.
         NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
     """
-    a = as_real_matrix(a, name="a")
-    norm_a = _check_eigen_input(a, max_sweeps)
+    a, e, norm_a = _prepare(as_real_matrix(a, name="a"), max_sweeps)
     if not is_symmetric(a, 1e-12 * norm_a):
         raise NotSymmetricError("input matrix is not symmetric")
-    return _finalize(a, *_jacobi(a, norm_a, tol, max_sweeps))
+    return _finalize(a, e, *_jacobi(a, norm_a, tol, max_sweeps))
 
 
 def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix with complex Jacobi rotations.
 
     Each rotation composes a phase that makes the pivot real with the real
-    rotation used by :func:`symmetric_eigen`.  Returns real ascending
+    rotation used by :func:`symmetric_eigen`, in the same round-robin order
+    and after the same power-of-two scaling.  Returns real ascending
     eigenvalues and a unitary row-eigenvector matrix ``w`` with
     ``w @ a @ w.conj().T`` diagonal; each row is phase-normalized so its
     largest-magnitude component is real and positive.
@@ -300,8 +375,7 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecompo
         NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
     """
-    a = as_complex_matrix(a, name="a")
-    norm_a = _check_eigen_input(a, max_sweeps)
+    a, e, norm_a = _prepare(as_complex_matrix(a, name="a"), max_sweeps)
     if not is_hermitian(a, 1e-12 * norm_a):
         raise NotHermitianError("input matrix is not Hermitian")
-    return _finalize(a, *_jacobi(a, norm_a, tol, max_sweeps))
+    return _finalize(a, e, *_jacobi(a, norm_a, tol, max_sweeps))

@@ -151,11 +151,26 @@ def conjugated_group(v) -> ConjugatedSignGroup:
 
 def _group(basis: np.ndarray) -> ConjugatedSignGroup:
     """The group on an already validated orthogonal or unitary basis."""
-    n = basis.shape[0]
-    patterns = (SignPattern(tuple(-1 if j == i else 1 for j in range(n))) for i in range(n))
     return ConjugatedSignGroup(
-        basis, tuple(SignGroupElement(_element_matrix(basis, p), p) for p in patterns)
+        basis,
+        tuple(
+            SignGroupElement(_element_matrix(basis, p), p)
+            for p in _single_flips(basis.shape[0])
+        ),
     )
+
+
+def _single_flips(n: int):
+    """Yield the ``n`` generator patterns, the ``i``-th flipping sign ``i`` only."""
+    for i in range(n):
+        yield SignPattern(tuple(-1 if j == i else 1 for j in range(n)))
+
+
+def _check_enumerable(n: int, n_cap: int) -> None:
+    if n > n_cap:
+        raise DimensionTooLargeError(
+            f"refusing to enumerate 2**{n} elements (cap n <= {n_cap})"
+        )
 
 
 def all_patterns(n: int):
@@ -171,13 +186,9 @@ def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
     bitmask ``k``, with bit 0 for the last sign.
     """
     m = as_real_matrix(v, name="basis")
-    n = m.shape[0]
-    if n > n_cap:
-        raise DimensionTooLargeError(
-            f"refusing to enumerate 2**{n} elements (cap n <= {n_cap})"
-        )
+    _check_enumerable(m.shape[0], n_cap)
     _check_basis(m)
-    for pattern in all_patterns(n):
+    for pattern in all_patterns(m.shape[0]):
         yield SignGroupElement(_element_matrix(m, pattern), pattern)
 
 
@@ -199,18 +210,19 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
     checks all ``2**n`` elements (diagnostic, capped at n <= 12).
     """
     m = as_real_matrix(a, name="a")
-    group = conjugated_group(v)
-    if m.shape[0] != group.n:
-        raise DimensionMismatchError(
-            f"matrix is {m.shape[0]}x{m.shape[0]} but basis is {group.n}x{group.n}"
-        )
+    basis = as_real_matrix(v, name="basis")
+    _check_basis(basis)
+    n = basis.shape[0]
+    if m.shape[0] != n:
+        raise DimensionMismatchError(f"matrix is {m.shape[0]}x{m.shape[0]} but basis is {n}x{n}")
     if tol is None:
         tol = default_tolerance(m)
     if exhaustive:
-        elements = enumerate_group(group.basis, n_cap=FULL_AUDIT_CAP)
+        _check_enumerable(n, FULL_AUDIT_CAP)
+        patterns = all_patterns(n)
     else:
-        elements = group.generators
-    return all(commutator_norm(g.matrix, m) <= tol for g in elements)
+        patterns = _single_flips(n)
+    return all(commutator_norm(_element_matrix(basis, p), m) <= tol for p in patterns)
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:

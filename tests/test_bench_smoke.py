@@ -1,0 +1,21 @@
+"""One short traced benchmark run, so a rename that breaks the harness fails here."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_symmetry_decide_traced_run():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "symmetry-decide",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["linalg.symmetric_eigen.calls"]["value"] > 0

@@ -60,10 +60,11 @@ class TestEig:
         code, out, err = run(capsys, "eig", "--json", hessian_file)
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"values", "V", "residual"}
+        assert set(payload) == {"values", "V", "residual", "sweeps", "rotations"}
         decomp = symmetric_eigen(reference_hessian())
         assert payload["values"] == list(decomp.values)
         assert payload["residual"] == decomp.residual
+        assert (payload["sweeps"], payload["rotations"]) == (decomp.sweeps, decomp.rotations)
         v = np.array(payload["V"])
         assert np.array_equal(v, decomp.vectors)
 

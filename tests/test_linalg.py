@@ -22,6 +22,8 @@ from signflip.linalg import (
     NoConvergenceError,
     NotHermitianError,
     NotSymmetricError,
+    PIVOT_SKIP,
+    _round_robin,
     commutator_norm,
     frobenius,
     hermitian_eigen,
@@ -39,6 +41,11 @@ from signflip.linalg import (
 class TestNormsAndCommutator:
     def test_frobenius(self):
         assert frobenius(np.array([[3.0, 0.0], [0.0, 4.0]])) == 5.0
+
+    @pytest.mark.parametrize("k", [-1060, -600, 600, 1000])
+    def test_frobenius_without_overflow_or_underflow(self, k):
+        assert frobenius(np.ldexp([[3.0, 0.0], [0.0, 4.0]], k)) == math.ldexp(5.0, k)
+        assert frobenius(np.ldexp([[3.0, 0.0], [0.0, 4.0]], k) * 1j) == math.ldexp(5.0, k)
 
     def test_off_diagonal_norm(self):
         m = np.array([[1.0, 3.0], [4.0, 2.0]])
@@ -130,6 +137,7 @@ class TestSymmetricEigen:
         )
         assert_allclose(dec.vectors, expected_rows, atol=0.0)
         assert dec.residual == 0.0
+        assert (dec.sweeps, dec.rotations) == (0, 0)
 
     def test_exchange_matrix(self):
         dec = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -140,6 +148,8 @@ class TestSymmetricEigen:
             [[inv_sqrt2, -inv_sqrt2], [inv_sqrt2, inv_sqrt2]],
             atol=1e-15,
         )
+        # one rotation annihilates the only pivot
+        assert (dec.sweeps, dec.rotations) == (1, 1)
 
     def test_1x1(self):
         dec = symmetric_eigen(np.array([[7.0]]))
@@ -191,6 +201,24 @@ class TestSymmetricEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
             symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_asymmetric_at_huge_scale(self):
+        # the symmetry tolerance is 1e-12 * ||a||_F, and the plain sum of
+        # squares behind that norm overflows here
+        with pytest.raises(NotSymmetricError):
+            symmetric_eigen(1e200 * np.array([[1.0, 5.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("k", [-900, -300, -100, 600, 900])
+    @pytest.mark.parametrize("solver", [symmetric_eigen, hermitian_eigen])
+    def test_power_of_two_scaling_is_exact(self, solver, k):
+        rng = np.random.default_rng(17)
+        a = random_symmetric(rng, 8) if solver is symmetric_eigen else random_hermitian(rng, 8)
+        base = solver(a)
+        scaled = solver(a * math.ldexp(1.0, k))
+        assert np.array_equal(scaled.vectors, base.vectors)
+        assert np.array_equal(scaled.values, np.ldexp(base.values, k))
+        assert scaled.residual == math.ldexp(base.residual, k)
+        assert (scaled.sweeps, scaled.rotations) == (base.sweeps, base.rotations)
 
     def test_rejects_complex_input(self):
         with pytest.raises(TypeError):
@@ -275,3 +303,103 @@ def test_real_input_parity(n, seed):
     gap = np.min(np.diff(real.values), initial=np.inf)
     assert np.max(np.abs(herm.values - real.values)) <= 1e-13 * scale
     assert np.max(np.abs(herm.vectors - real.vectors)) <= 1e-12 * scale / gap
+
+
+@pytest.mark.parametrize("n", range(1, MAX_EIGEN_N + 1))
+def test_round_robin_schedule(n):
+    """One sweep meets every pair p < q once, in rounds of disjoint pairs."""
+    rounds = _round_robin(n)
+    assert len(rounds) == (n if n % 2 else n - 1)
+    met = []
+    for p, q in rounds:
+        assert len(p) == n // 2
+        assert np.all(p < q)
+        assert len(set(p) | set(q)) == 2 * len(p)
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=MAX_EIGEN_N),
+    st.sampled_from(["generic", "clustered", "repeated"]),
+    st.sampled_from([symmetric_eigen, hermitian_eigen]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_values_match_eigh(n, spectrum, solver, seed):
+    """Eigenvalues agree with LAPACK to 1e-13 * ||A||_F, including spectra
+    clustered to 1e-9 and spectra with repeated values."""
+    rng = np.random.default_rng(seed)
+    if spectrum == "clustered":
+        centers = rng.normal(size=max(1, n // 3))
+        values = centers[np.arange(n) % len(centers)] * (1.0 + 1e-9 * rng.normal(size=n))
+    elif spectrum == "repeated":
+        values = rng.choice(rng.normal(size=3), size=n)
+    else:
+        values = rng.normal(size=n)
+    if solver is symmetric_eigen:
+        q = random_orthogonal(rng, n)
+    else:
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    a = q.conj().T @ np.diag(values) @ q
+    a = 0.5 * (a + a.conj().T)
+    dec = solver(a)
+    assert np.max(np.abs(dec.values - np.linalg.eigvalsh(a))) <= 1e-13 * frobenius(a)
+
+
+def one_pivot_at_a_time(a, tol=1e-12):
+    """Reference for the kernel: the same rotations in the same schedule,
+    applied one pivot at a time by scalar row and column updates."""
+    hermitian = np.iscomplexobj(a)
+    n = a.shape[0]
+    work = a.copy()
+    acc = np.eye(n, dtype=a.dtype)
+    norm = frobenius(a)
+    while off_diagonal_norm(work) > tol * norm:
+        for ps, qs in _round_robin(n):
+            for p, q in zip(ps.tolist(), qs.tolist()):
+                apq = work[p, q]
+                r = abs(apq)
+                if r < PIVOT_SKIP:
+                    continue
+                if hermitian:
+                    phase = apq / r
+                else:
+                    r, phase = apq, 1.0
+                tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot = np.array([[c, s], [-s / phase, c / phase]])
+                work[:, [p, q]] = work[:, [p, q]] @ rot
+                work[[p, q], :] = rot.conj().T @ work[[p, q], :]
+                work[p, q] = work[q, p] = 0.0
+                acc[:, [p, q]] = acc[:, [p, q]] @ rot
+    return np.diag(work).real, acc.conj().T
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.sampled_from([symmetric_eigen, hermitian_eigen]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_round_product_matches_one_pivot_at_a_time(n, solver, seed):
+    """The pivots of a round share no row or column, so applying a round as
+    one product reproduces its rotations applied one by one, to rounding."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.cumsum(rng.uniform(0.1, 2.0, size=n)) - rng.uniform(0.0, n)
+    if solver is symmetric_eigen:
+        q = random_orthogonal(rng, n)
+    else:
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    a = q.conj().T @ np.diag(spectrum) @ q
+    a = 0.5 * (a + a.conj().T)
+    dec = solver(a)
+    values, rows = one_pivot_at_a_time(a)
+    order = np.argsort(values)
+    scale = frobenius(a)
+    gap = np.min(np.diff(spectrum), initial=np.inf)
+    assert np.max(np.abs(dec.values - values[order])) <= 1e-13 * scale
+    overlap = np.abs(dec.vectors @ rows[order].conj().T)
+    assert np.max(np.abs(overlap - np.eye(n))) <= 1e-12 * scale / gap
