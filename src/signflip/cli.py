@@ -132,6 +132,7 @@ def run_check(args) -> int:
     print(f"symmetric: {'yes' if result.verdict else 'no'}")
     print(f"max generator commutator: {_fmt(result.max_commutator)}")
     print(f"tolerance: {_fmt(result.tol)}")
+    print(f"worst generator: {result.worst_generator}")
     print("witness basis rows:")
     _print_matrix(result.basis)
     return 0 if result.verdict else 1
@@ -164,6 +165,7 @@ def run_group(args) -> int:
     print(f"commutation max error: {_fmt(audit.commutation_max_err)}")
     closure_state = "ok" if audit.closure_ok else "FAIL"
     print(f"closure max error: {_fmt(audit.closure_max_err)} ({closure_state})")
+    print(f"gram residual: {_fmt(audit.gram_residual)}")
     return 0
 
 
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide symmetry via sign-group equivariance")
     p_check.add_argument("matrix", help="path to a matrix text file")
-    p_check.add_argument("--tol", type=float, default=None, help="commutator tolerance (default 1e-8*max(1,||A||_F))")
+    p_check.add_argument("--tol", type=float, default=None, help="commutator tolerance (default 1e-8*||A||_F)")
     p_check.set_defaults(func=run_check)
 
     p_group = sub.add_parser("group", help="print the conjugated sign group of a symmetric matrix")

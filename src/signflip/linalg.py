@@ -240,14 +240,26 @@ def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
 def _finalize(
     a: np.ndarray, e: int, diag: np.ndarray, rows: np.ndarray, sweeps: int, rotations: int
 ) -> EigenDecomposition:
-    """Sort and normalize the solution for the scaled ``a``, then undo the scale ``2**-e``."""
+    """Sort and normalize the solution for the scaled ``a``, then undo the scale ``2**-e``.
+
+    Raises ``OverflowError`` when a value or the residual is too large to
+    scale back, rather than returning ``inf``.
+    """
     order = np.argsort(diag, kind="stable")
     vectors = _normalize_row_signs(rows[order])
-    recon = vectors @ a @ vectors.conj().T
+    residual = off_diagonal_norm(vectors @ a @ vectors.conj().T)
+    with np.errstate(over="ignore"):
+        values = _times_power_of_two(diag[order], e)
+        scaled_residual = _times_power_of_two(residual, e)
+    if not (np.all(np.isfinite(values)) and math.isfinite(scaled_residual)):
+        largest = max(float(np.max(np.abs(diag))), residual)
+        raise OverflowError(
+            f"an eigenvalue or the residual (about {largest:.6g} * 2**{e}) exceeds the float range"
+        )
     return EigenDecomposition(
-        values=_times_power_of_two(diag[order], e),
+        values=values,
         vectors=vectors,
-        residual=_times_power_of_two(off_diagonal_norm(recon), e),
+        residual=scaled_residual,
         sweeps=sweeps,
         rotations=rotations,
     )
@@ -353,6 +365,7 @@ def symmetric_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecompo
         NotSymmetricError: if ``a`` is not symmetric to ``1e-12 * ||a||_F``.
         NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
+        OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
     a, e, norm_a = _prepare(as_real_matrix(a, name="a"), max_sweeps)
     if not is_symmetric(a, 1e-12 * norm_a):
@@ -374,6 +387,7 @@ def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecompo
         NotHermitianError: if ``a`` is not Hermitian to ``1e-12 * ||a||_F``.
         NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
+        OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
     a, e, norm_a = _prepare(as_complex_matrix(a, name="a"), max_sweeps)
     if not is_hermitian(a, 1e-12 * norm_a):

@@ -9,11 +9,25 @@ with the whole conjugated group built from the eigenvector rows of its
 symmetric part exactly when the matrix is symmetric, which turns symmetry
 into a commutator test; the same construction over a unitary basis
 characterizes normality of complex matrices.
+
+Two identities replace products of element matrices.  Write the element
+of the 0/1 flip mask ``a`` as ``g_a = I - 2 V* D_a V`` with ``D_a = diag(a)``.
+
+* Commutators come from one product ``B = V A V*``: for orthonormal ``V``,
+  ``||[g_a, A]||_F = 2 sqrt(sum over i in a, k not in a of |B_ik|^2 +
+  |B_ki|^2)``, so ``A`` commutes with the group exactly when ``B`` is
+  diagonal.
+* Every group-law error is a function of the Gram residual
+  ``E = V V* - I``: ``g_p g_q - g_(p xor q) = 4 V* D_p E D_q V``, the
+  involution error is the case ``p = q`` and the commutation error is
+  ``4 V* (D_p E D_q - D_q E D_p) V``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +39,23 @@ from .linalg import (
     as_complex_matrix,
     as_matrix,
     as_real_matrix,
-    commutator_norm,
     frobenius,
     hermitian_eigen,
     is_hermitian,
     is_orthogonal,
     is_unitary,
     symmetric_eigen,
+    _exponent,
+    _times_power_of_two,
 )
 
 ENUMERATION_CAP = 20
 FULL_AUDIT_CAP = 12
 BASIS_TOL = 1e-8
 CLOSURE_TOL = 1e-8
+# Bound on the entries of one row block of the group audit, counting its
+# pair forms and its n x n matrices, which keeps the audit's memory small.
+AUDIT_BLOCK = 2**16
 
 
 class NotOrthogonalError(ValueError):
@@ -49,8 +67,11 @@ class NotUnitaryError(ValueError):
 
 
 def default_tolerance(a) -> float:
-    """Commutator tolerance scaled to the matrix: ``1e-8 * max(1, ||A||_F)``."""
-    return 1e-8 * max(1.0, frobenius(a))
+    """Commutator tolerance scaled to the matrix: ``1e-8 * ||A||_F``.
+
+    It has no absolute floor, so ``A`` and ``2**k * A`` get the same verdict.
+    """
+    return 1e-8 * frobenius(a)
 
 
 @dataclass(frozen=True)
@@ -118,8 +139,8 @@ def _element_matrix(v: np.ndarray, pattern: SignPattern) -> np.ndarray:
 class ConjugatedSignGroup:
     """The group ``{V^T s V}`` over all sign matrices ``s``, held by generators.
 
-    ``basis`` is the orthogonal (for normality checks, unitary) matrix whose
-    rows define the reflections; ``generators[i]`` flips sign ``i`` only.
+    ``basis`` is the orthogonal matrix whose rows define the reflections;
+    ``generators[i]`` flips sign ``i`` only.
     Arbitrary elements are built on demand from their pattern.
     """
 
@@ -146,24 +167,18 @@ def conjugated_group(v) -> ConjugatedSignGroup:
     """Construct the conjugated sign group with the given orthogonal basis."""
     m = as_real_matrix(v, name="basis")
     _check_basis(m)
-    return _group(m)
-
-
-def _group(basis: np.ndarray) -> ConjugatedSignGroup:
-    """The group on an already validated orthogonal or unitary basis."""
+    # generator i is I - 2 v_i^T v_i, all n built in one array
+    reflections = -2.0 * m[:, :, None] * m[:, None, :]
+    reflections += np.eye(m.shape[0])
     return ConjugatedSignGroup(
-        basis,
-        tuple(
-            SignGroupElement(_element_matrix(basis, p), p)
-            for p in _single_flips(basis.shape[0])
-        ),
+        m, tuple(map(SignGroupElement, reflections, _single_flips(m.shape[0])))
     )
 
 
-def _single_flips(n: int):
-    """Yield the ``n`` generator patterns, the ``i``-th flipping sign ``i`` only."""
-    for i in range(n):
-        yield SignPattern(tuple(-1 if j == i else 1 for j in range(n)))
+@functools.lru_cache(maxsize=64)
+def _single_flips(n: int) -> tuple[SignPattern, ...]:
+    """The ``n`` generator patterns, the ``i``-th flipping sign ``i`` only."""
+    return tuple(SignPattern(tuple(-1 if j == i else 1 for j in range(n))) for i in range(n))
 
 
 def _check_enumerable(n: int, n_cap: int) -> None:
@@ -192,6 +207,36 @@ def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
         yield SignGroupElement(_element_matrix(m, pattern), pattern)
 
 
+def _flip_masks(n: int, exhaustive: bool) -> np.ndarray:
+    """0/1 rows marking the flipped signs of the elements an audit covers.
+
+    All ``2**n`` elements in :func:`enumerate_group` order (row ``k`` flips
+    the set bits of ``k``, bit 0 for the last sign), or the ``n`` generators.
+    """
+    if not exhaustive:
+        return np.eye(n)
+    k = np.arange(2**n)[:, None]
+    return ((k >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
+
+
+def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``||g A - A g||_F`` for the element ``g`` of each flip mask.
+
+    For orthonormal rows ``V`` the commutator is ``-2 V* (D B - B D) V`` with
+    ``B = V A V*`` and ``D`` the mask's diagonal, whose nonzero entries are
+    the ``B_ik`` with exactly one of ``i, k`` flipped.  The sum of their
+    squares has only non-negative terms, so it cannot cancel.  ``A`` is
+    first brought to unit scale by an exact power of two, so the squares
+    neither overflow nor underflow, and the norms are scaled back.
+    """
+    e = _exponent(a)
+    b = basis @ _times_power_of_two(a, -e) @ basis.conj().T
+    w = np.abs(b) ** 2
+    w += w.T
+    across = np.sum((masks @ w) * (1.0 - masks), axis=1)
+    return _times_power_of_two(2.0 * np.sqrt(across), e)
+
+
 def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
     """Largest ``||gA - Ag||_F`` over the group's generators."""
     m = as_matrix(a, name="a")
@@ -199,7 +244,7 @@ def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
         raise DimensionMismatchError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but group acts on dimension {group.n}"
         )
-    return max(commutator_norm(g.matrix, m) for g in group.generators)
+    return float(np.max(_flip_commutators(m, group.basis, _flip_masks(group.n, False))))
 
 
 def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -207,7 +252,8 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
 
     Generator commutation implies commutation with the whole group, so only
     the ``n`` single-flip reflections are checked by default; ``exhaustive``
-    checks all ``2**n`` elements (diagnostic, capped at n <= 12).
+    checks all ``2**n`` elements (diagnostic, capped at n <= 12).  Every
+    commutator comes from the one product ``V A V^T``.
     """
     m = as_real_matrix(a, name="a")
     basis = as_real_matrix(v, name="basis")
@@ -219,10 +265,7 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
         tol = default_tolerance(m)
     if exhaustive:
         _check_enumerable(n, FULL_AUDIT_CAP)
-        patterns = all_patterns(n)
-    else:
-        patterns = _single_flips(n)
-    return all(commutator_norm(_element_matrix(basis, p), m) <= tol for p in patterns)
+    return bool(np.all(_flip_commutators(m, basis, _flip_masks(n, exhaustive)) <= tol))
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -241,13 +284,21 @@ class EquivarianceCheck:
 
     ``basis`` holds the rows that define the group's generators and
     ``max_commutator`` the largest generator commutator norm, compared
-    against ``tol`` for the ``verdict``.
+    against ``tol`` for the ``verdict``; ``worst_generator`` is the index of
+    the sign whose generator attains it.
     """
 
     verdict: bool
     basis: np.ndarray
     max_commutator: float
     tol: float
+    worst_generator: int
+
+
+def _generator_check(m: np.ndarray, basis: np.ndarray, tol: float) -> EquivarianceCheck:
+    norms = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False))
+    worst = int(np.argmax(norms))
+    return EquivarianceCheck(bool(norms[worst] <= tol), basis, float(norms[worst]), tol, worst)
 
 
 def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
@@ -260,11 +311,7 @@ def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
     m = as_real_matrix(a, name="a")
     if tol is None:
         tol = default_tolerance(m)
-    sym_part = 0.5 * (m + m.T)
-    eig = symmetric_eigen(sym_part)
-    group = conjugated_group(eig.vectors)
-    worst = max_generator_commutator(m, group)
-    return EquivarianceCheck(bool(worst <= tol), eig.vectors, worst, tol)
+    return _generator_check(m, symmetric_eigen(0.5 * (m + m.T)).vectors, tol)
 
 
 def normality_via_equivariance(a, w=None, tol: float | None = None) -> EquivarianceCheck:
@@ -292,13 +339,16 @@ def normality_via_equivariance(a, w=None, tol: float | None = None) -> Equivaria
             )
         if not is_unitary(basis, BASIS_TOL):
             raise NotUnitaryError(f"basis rows are not unitary within {BASIS_TOL:g}")
-    worst = max_generator_commutator(m, _group(basis))
-    return EquivarianceCheck(bool(worst <= tol), basis, worst, tol)
+    return _generator_check(m, basis, tol)
 
 
 @dataclass(frozen=True)
 class GroupAudit:
-    """Measured deviations from the defining group laws."""
+    """Measured deviations from the defining group laws.
+
+    ``gram_residual`` is ``||V V* - I||_F``, the basis defect every error
+    is made of.
+    """
 
     order: int
     involution_max_err: float
@@ -306,6 +356,7 @@ class GroupAudit:
     closure_max_err: float
     closure_ok: bool
     exhaustive: bool
+    gram_residual: float
 
 
 def group_properties_check(
@@ -314,11 +365,20 @@ def group_properties_check(
     """Verify involution, commutativity, closure and order of the group.
 
     With ``exhaustive`` unset, all ``2**n`` elements are audited when
-    ``n <= 12`` and only the generators otherwise.  Closure compares each
-    product against the element whose pattern is the entrywise product of
-    the factors' patterns: the element at the XOR of the two bitmask
-    positions in exhaustive mode, and ``g_i + g_j - I`` (``I`` when
-    ``i == j``) for two generators.
+    ``n <= 12`` and only the generators otherwise.  Closure compares
+    ``g_p g_q`` with the element of the entrywise product of the two
+    patterns, ``g_(p xor q)``.  Exhaustive mode covers all ``4**n`` pairs,
+    generator mode the ``n**2`` generator pairs.
+
+    No element is multiplied: with ``E = V V* - I`` and ``G = V V*``,
+    ``g_p g_q - g_(p xor q) = 4 V* D_p E D_q V`` and
+    ``g_p g_q - g_q g_p = 4 V* (D_p E D_q - D_q E D_p) V``.  With
+    ``N_p = E D_p G`` and ``o`` the entrywise product, their squared norms
+    over 16 are the quadratic forms ``c = q^T [(N_p D_p E) o G^T] q`` and
+    ``2 (c - Re q^T [N_p o N_p^T] q)``; the involution error is the case
+    ``p = q``.  Each form is evaluated for many pairs at once as one matrix
+    product of its entries against the stacked ``q_i q_k``, in row blocks
+    of at most ``AUDIT_BLOCK`` entries.
     """
     n = group.n
     if exhaustive is None:
@@ -328,35 +388,41 @@ def group_properties_check(
             f"exhaustive audit refuses n > {FULL_AUDIT_CAP}, got n = {n}"
         )
 
-    elements = enumerate_group(group.basis) if exhaustive else group.generators
-    stack = np.stack([e.matrix for e in elements])
-    positions = np.arange(len(stack))
+    v = group.basis
+    gram = v @ v.conj().T
+    resid = gram - np.eye(n)
+    masks = _flip_masks(n, exhaustive)
+    # The forms are symmetric in (i, k), so each sums over i <= k with the
+    # off-diagonal terms doubled; q_i q_i = q_i for a 0/1 mask.
+    i, k = np.triu_indices(n)
+    fold = np.where(i == k, 1.0, 2.0)
+    pairs = (masks[:, i] * masks[:, k]).T
 
-    eye = np.eye(n)
-    involution = max(frobenius(m @ m - eye) for m in stack)
+    closure = commutation = involution = 0.0
+    rows = max(1, AUDIT_BLOCK // (len(masks) + n * n))
+    for start in range(0, len(masks), rows):
+        p = masks[start : start + rows]
+        c = len(p)
+        n_p = ((resid * p[:, None, :]).reshape(c * n, n) @ gram).reshape(c, n, n)
+        m_p = ((n_p * p[:, None, :]).reshape(c * n, n) @ resid).reshape(c, n, n)
+        closure_form = (m_p * gram.T)[:, i, k].real * fold
+        cross_form = (n_p[:, i, k] * n_p[:, k, i]).real * fold
+        # Both forms are symmetric in (p, q), so the pairs q >= p suffice.
+        forms = np.concatenate((closure_form, closure_form - cross_form)) @ pairs[:, start:]
+        diagonal = np.arange(c)
+        involution = max(involution, float(forms[diagonal, diagonal].max()))
+        closure = max(closure, float(forms[:c].max()))
+        # g_p commutes with itself exactly; its form is only rounding noise
+        forms[c + diagonal, diagonal] = 0.0
+        commutation = max(commutation, float(forms[c:].max()))
 
-    commutation = 0.0
-    closure = 0.0
-    for i, left in enumerate(stack):
-        products = left @ stack
-        commutation = max(commutation, _max_fro(products - stack @ left))
-        if exhaustive:
-            expect = stack[positions ^ i]
-        else:
-            expect = stack + (left - eye)
-            expect[i] = eye
-        closure = max(closure, _max_fro(products - expect))
-
+    closure_max_err = 4.0 * math.sqrt(max(closure, 0.0))
     return GroupAudit(
-        order=2 ** n,
-        involution_max_err=involution,
-        commutation_max_err=commutation,
-        closure_max_err=closure,
-        closure_ok=closure <= CLOSURE_TOL,
+        order=2**n,
+        involution_max_err=4.0 * math.sqrt(max(involution, 0.0)),
+        commutation_max_err=4.0 * math.sqrt(2.0 * max(commutation, 0.0)),
+        closure_max_err=closure_max_err,
+        closure_ok=closure_max_err <= CLOSURE_TOL,
         exhaustive=exhaustive,
+        gram_residual=frobenius(resid),
     )
-
-
-def _max_fro(batch: np.ndarray) -> float:
-    """Largest Frobenius norm over a stack of matrices."""
-    return float(np.sqrt(np.einsum("kij,kij->k", batch, batch).max()))

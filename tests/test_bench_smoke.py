@@ -1,4 +1,4 @@
-"""One short traced benchmark run, so a rename that breaks the harness fails here."""
+"""Short traced benchmark runs, so a rename that breaks the harness fails here."""
 
 import json
 import subprocess
@@ -8,9 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_symmetry_decide_traced_run():
+def traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "symmetry-decide",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -18,4 +18,12 @@ def test_symmetry_decide_traced_run():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["linalg.symmetric_eigen.calls"]["value"] > 0
+    return result["metrics"]
+
+
+def test_symmetry_decide_traced_run():
+    assert traced_run("symmetry-decide")["linalg.symmetric_eigen.calls"]["value"] > 0
+
+
+def test_group_audit_traced_run():
+    assert traced_run("group-audit")["signgroup.group_properties_check.calls"]["value"] > 0

@@ -91,6 +91,15 @@ class TestEig:
         assert code == 3
         assert err != ""
 
+    def test_value_beyond_float_range_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        write_matrix(path, 1e308 * np.ones((4, 4)))
+        code, out, err = run(capsys, "eig", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "eig", str(tmp_path / "nope.txt"))
         assert code == 2
@@ -113,6 +122,7 @@ class TestCheck:
         assert code == 1
         assert "symmetric: no" in out
         assert "max generator commutator" in out
+        assert "worst generator: 0" in out
 
     def test_complex_input_exits_2(self, capsys, hermitian_file):
         code, out, err = run(capsys, "check", hermitian_file)
@@ -127,6 +137,11 @@ class TestGroup:
         assert code == 0
         assert "generators" in out
         assert "closure" in out
+        residual = float(out.split("gram residual: ")[1].split()[0])
+        vectors = symmetric_eigen(reference_hessian()).vectors
+        assert residual == pytest.approx(
+            np.linalg.norm(vectors @ vectors.T - np.eye(3)), rel=1e-5, abs=1e-20
+        )
 
     def test_full_enumeration_labels(self, capsys, hessian_file):
         code, out, err = run(capsys, "group", "--full", hessian_file)

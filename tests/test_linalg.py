@@ -1,6 +1,7 @@
 """Predicates, matrix helpers and the two Jacobi eigensolvers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestSymmetricEigen:
         assert np.array_equal(scaled.values, np.ldexp(base.values, k))
         assert scaled.residual == math.ldexp(base.residual, k)
         assert (scaled.sweeps, scaled.rotations) == (base.sweeps, base.rotations)
+
+    @pytest.mark.parametrize("solver", [symmetric_eigen, hermitian_eigen])
+    def test_value_beyond_float_range_raises(self, solver):
+        # the largest eigenvalue of 1e308 * ones(4, 4) is 4e308; it must not
+        # come back as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                solver(1e308 * np.ones((4, 4)))
+        assert solver(1e307 * np.ones((4, 4))).values[-1] == pytest.approx(4e307, rel=1e-14)
 
     def test_rejects_complex_input(self):
         with pytest.raises(TypeError):

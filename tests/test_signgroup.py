@@ -1,10 +1,11 @@
 """Sign patterns, conjugated groups, equivariance and normality checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -40,6 +41,7 @@ from signflip.signgroup import (
     normality_via_equivariance,
     symmetry_via_equivariance,
 )
+from signflip.signgroup import _flip_commutators, _flip_masks
 
 
 class TestSignPattern:
@@ -187,23 +189,36 @@ class TestGroupAudit:
             assert audit.commutation_max_err <= 1e-12
             assert audit.closure_max_err <= 1e-12
 
-    def test_exhaustive_closure_matches_pairwise_loop(self):
-        # every pair multiplied separately and compared with the element built
-        # from the product pattern; einsum sums squares as the audit does
-        rng = np.random.default_rng(29)
-        for n in (1, 2, 3, 4):
-            group = conjugated_group(random_orthogonal(rng, n))
-            elements = list(enumerate_group(group.basis))
-            worst = 0.0
-            for left in elements:
-                for right in elements:
-                    merged = SignPattern(
-                        tuple(a * b for a, b in zip(left.pattern.signs, right.pattern.signs))
-                    )
-                    d = left.matrix @ right.matrix - group.element(merged).matrix
-                    worst = max(worst, math.sqrt(np.einsum("ij,ij->", d, d)))
-            audit = group_properties_check(group, exhaustive=True)
-            assert audit.closure_max_err == worst
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_maxima_match_exact_arithmetic(self, n):
+        # elements and their products in exact rationals from the stored
+        # float basis, which is perturbed to a Gram residual of 1e-9..1e-8
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            v = _perturbed_basis(rng, n, rng.uniform(0.1, 0.9) * 1e-8)
+            group = conjugated_group(v)
+            for exhaustive in (True, False):
+                exact = _exact_audit(v, exhaustive)
+                audit = group_properties_check(group, exhaustive=exhaustive)
+                got = (audit.involution_max_err, audit.commutation_max_err, audit.closure_max_err)
+                for value, expected in zip(got, exact):
+                    assert abs(value - expected) <= 1e-6 * expected
+
+    def test_one_sign_commutes_exactly(self):
+        # every pair of a one-dimensional group is (I, I), (I, g), (g, g)
+        rng = np.random.default_rng(47)
+        audit = group_properties_check(conjugated_group(_perturbed_basis(rng, 1, 5e-9)))
+        assert audit.involution_max_err > 0.0
+        assert audit.commutation_max_err == 0.0
+
+    def test_gram_residual(self):
+        assert group_properties_check(conjugated_group(np.eye(3))).gram_residual == 0.0
+        rng = np.random.default_rng(43)
+        v = _perturbed_basis(rng, 5, 3e-9)
+        audit = group_properties_check(conjugated_group(v))
+        assert audit.gram_residual == pytest.approx(
+            np.linalg.norm(v @ v.T - np.eye(5)), rel=1e-6
+        )
 
     def test_generator_mode_above_cap(self):
         group = conjugated_group(np.eye(13))
@@ -216,6 +231,42 @@ class TestGroupAudit:
         group = conjugated_group(np.eye(13))
         with pytest.raises(DimensionTooLargeError):
             group_properties_check(group, exhaustive=True)
+
+
+def _perturbed_basis(rng, n, gram_residual):
+    """A random orthogonal basis moved to about the given ``||V V^T - I||_F``."""
+    v = random_orthogonal(rng, n)
+    e = rng.normal(size=(n, n))
+    return v + gram_residual / frobenius(e @ v.T + v @ e.T) * e
+
+
+def _exact_audit(v, exhaustive):
+    """Involution, commutation and closure maxima computed in exact rationals."""
+    n = v.shape[0]
+    rows = [[Fraction(float(x)) for x in row] for row in v]
+
+    def element(flipped):
+        return [
+            [int(i == k) - 2 * sum(rows[j][i] * rows[j][k] for j in flipped) for k in range(n)]
+            for i in range(n)
+        ]
+
+    def product(x, y):
+        return [[sum(x[i][j] * y[j][k] for j in range(n)) for k in range(n)] for i in range(n)]
+
+    def norm(x, y):
+        return math.sqrt(float(sum((a - b) ** 2 for rx, ry in zip(x, y) for a, b in zip(rx, ry))))
+
+    masks = range(2**n) if exhaustive else [1 << i for i in range(n)]
+    elements = {m: element([i for i in range(n) if m >> i & 1]) for m in range(2**n)}
+    involution = commutation = closure = 0.0
+    for p in masks:
+        involution = max(involution, norm(product(elements[p], elements[p]), elements[0]))
+        for q in masks:
+            pq = product(elements[p], elements[q])
+            commutation = max(commutation, norm(pq, product(elements[q], elements[p])))
+            closure = max(closure, norm(pq, elements[p ^ q]))
+    return involution, commutation, closure
 
 
 class TestEquivariance:
@@ -322,6 +373,37 @@ class TestSymmetryViaEquivariance:
         assert symmetry_via_equivariance(big).verdict
 
 
+    def test_worst_generator_attains_the_maximum(self):
+        rng = np.random.default_rng(44)
+        for n in (2, 5, 9):
+            a = rng.normal(size=(n, n))
+            result = symmetry_via_equivariance(a)
+            group = conjugated_group(result.basis)
+            norms = [commutator_norm(g.matrix, a) for g in group.generators]
+            assert result.worst_generator == int(np.argmax(norms))
+            assert result.max_commutator == pytest.approx(max(norms), rel=1e-12)
+
+    def test_tiny_asymmetric_matrix_rejected(self):
+        # the default tolerance has no absolute floor
+        shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert not symmetry_via_equivariance(1e-10 * shear).verdict
+        rng = np.random.default_rng(45)
+        s = random_symmetric(rng, 4)
+        perturbed = s + 1e-3 * rng.normal(size=(4, 4))
+        assert not symmetry_via_equivariance(math.ldexp(1.0, -34) * perturbed).verdict
+
+    @pytest.mark.parametrize("k", [-900, -600, -100, 100, 600, 900])
+    def test_power_of_two_scaling_is_exact(self, k):
+        rng = np.random.default_rng(46)
+        for a in (rng.normal(size=(6, 6)), random_symmetric(rng, 6)):
+            base = symmetry_via_equivariance(a)
+            scaled = symmetry_via_equivariance(np.ldexp(a, k))
+            assert np.array_equal(scaled.basis, base.basis)
+            assert scaled.max_commutator == math.ldexp(base.max_commutator, k)
+            assert scaled.tol == math.ldexp(base.tol, k)
+            assert (scaled.verdict, scaled.worst_generator) == (base.verdict, base.worst_generator)
+
+
 class TestNormalityViaEquivariance:
     def test_hermitian_default_basis(self):
         rng = np.random.default_rng(27)
@@ -353,6 +435,15 @@ class TestNormalityViaEquivariance:
         assert not result.verdict
         assert result.max_commutator == pytest.approx(2.0, rel=1e-12)
 
+    def test_worst_generator(self):
+        # generator 2 meets both off-diagonal entries
+        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        a[1, 2] = 1.0
+        a[2, 3] = 0.5j
+        result = normality_via_equivariance(a, w=np.eye(4, dtype=complex))
+        assert result.worst_generator == 2
+        assert result.max_commutator == pytest.approx(2.0 * math.sqrt(1.25), rel=1e-15)
+
     def test_non_hermitian_without_basis_rejected(self):
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotHermitianError):
@@ -377,3 +468,46 @@ def test_pattern_product_matches_matrix_product(n, seed):
     merged = SignPattern(tuple(a * b for a, b in zip(p.signs, q.signs)))
     product = group.element(p).matrix @ group.element(q).matrix
     assert frobenius(product - group.element(merged).matrix) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_closed_form_commutators_match_element_products(n, seed):
+    """Every commutator from B = V A V^T equals the one of the built element."""
+    rng = np.random.default_rng(seed)
+    v = random_orthogonal(rng, n)
+    a = rng.normal(size=(n, n))
+    if rng.integers(2):
+        a = v.T @ np.diag(rng.normal(size=n)) @ v + 10.0 ** rng.uniform(-12, 0) * a
+    closed = _flip_commutators(a, v, _flip_masks(n, True))
+    explicit = [commutator_norm(e.matrix, a) for e in enumerate_group(v)]
+    assert np.max(np.abs(closed - explicit)) <= 1e-10 * frobenius(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["symmetric", "asymmetric", "diagonal", "near-diagonal"]),
+    st.integers(min_value=-900, max_value=900),
+)
+def test_verdicts_do_not_depend_on_scale(n, seed, kind, k):
+    """Symmetry and diagonality verdicts are the same for A and 2^k A."""
+    rng = np.random.default_rng(seed)
+    if kind in ("symmetric", "asymmetric"):
+        a = random_symmetric(rng, n)
+        if kind == "asymmetric":
+            a = a + 10.0 ** rng.uniform(-12, 0) * rng.normal(size=(n, n))
+    else:
+        a = np.diag(rng.normal(size=n))
+        if kind == "near-diagonal":
+            a = a + 10.0 ** rng.uniform(-12, 0) * rng.normal(size=(n, n))
+    entries = np.abs(a[a != 0.0])
+    assume(np.all(np.ldexp(entries, min(k, 0)) >= np.finfo(float).tiny))
+    assume(np.all(np.isfinite(np.ldexp(entries, max(k, 0)))))
+    scaled = np.ldexp(a, k)
+    assert symmetry_via_equivariance(scaled).verdict == symmetry_via_equivariance(a).verdict
+    for exhaustive in (False, True):
+        assert commutes_with_sign_group(scaled, exhaustive=exhaustive) == commutes_with_sign_group(
+            a, exhaustive=exhaustive
+        )
