@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expression, evaluate, hessian
+from .expr import Expression, evaluate_points, hessian
 from .linalg import DimensionMismatchError, as_real_matrix, frobenius, symmetric_eigen
 from .signgroup import (
     ConjugatedSignGroup,
@@ -146,13 +146,26 @@ def _gamma_matrix(g) -> np.ndarray:
     return as_real_matrix(g, name="group element")
 
 
+def _reflected_points(x: np.ndarray, m: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
+    gh = m @ h
+    return [x + gh, x - gh]
+
+
+def _second(f_plus: float, f0: float, f_minus: float) -> float:
+    return f_plus - 2.0 * f0 + f_minus
+
+
+def _four_point(f_plus1: float, f_minus1: float, f_plus2: float, f_minus2: float) -> float:
+    return (f_plus1 + f_minus1) - (f_plus2 + f_minus2)
+
+
 def second_difference(f: Expression, x, g, h) -> float:
     """f(x + gh) - 2 f(x) + f(x - gh); matches h^T H h through third order."""
     m = _gamma_matrix(g)
     x = _as_vector(x, f.n_vars, "x")
     h = _as_vector(h, f.n_vars, "h")
-    gh = m @ h
-    return evaluate(f, x + gh) - 2.0 * evaluate(f, x) + evaluate(f, x - gh)
+    plus, minus = _reflected_points(x, m, h)
+    return _second(*evaluate_points(f, [plus, x, minus]).tolist())
 
 
 def four_point_stencil(f: Expression, x, g1, g2, h) -> float:
@@ -165,11 +178,8 @@ def four_point_stencil(f: Expression, x, g1, g2, h) -> float:
     m2 = _gamma_matrix(g2)
     x = _as_vector(x, f.n_vars, "x")
     h = _as_vector(h, f.n_vars, "h")
-    g1h = m1 @ h
-    g2h = m2 @ h
-    pair1 = evaluate(f, x + g1h) + evaluate(f, x - g1h)
-    pair2 = evaluate(f, x + g2h) + evaluate(f, x - g2h)
-    return pair1 - pair2
+    points = _reflected_points(x, m1, h) + _reflected_points(x, m2, h)
+    return _four_point(*evaluate_points(f, points).tolist())
 
 
 def degeneracy_check(g1, g2, h, tol: float = DEGENERACY_TOL) -> tuple[StencilWarning, ...]:
@@ -250,18 +260,26 @@ def order_estimate(
     g2 = group.element(inp.pattern2)
     warnings = list(degeneracy_check(g1, g2, inp.h))
 
-    f0 = evaluate(inp.f, inp.x)
+    # The 1 + 4 * len(scales) distinct points, evaluated in one pass:
+    # x, then x +- g1 (s h) and x +- g2 (s h) for each scale s.
+    points = [inp.x]
+    for s in inp.scales:
+        hs = s * inp.h
+        points += _reflected_points(inp.x, g1.matrix, hs) + _reflected_points(inp.x, g2.matrix, hs)
+    values = evaluate_points(inp.f, points).tolist()
+    f0 = values[0]
     floor = NOISE_FLOOR_COEFF * max(1.0, abs(f0))
 
     rows = []
-    for s in inp.scales:
+    for k, s in enumerate(inp.scales):
         hs = s * inp.h
+        fp1, fm1, fp2, fm2 = values[1 + 4 * k : 5 + 4 * k]
         rows.append(
             ScaleRecord(
                 scale=s,
-                four_point=four_point_stencil(inp.f, inp.x, g1, g2, hs),
-                second_diff_1=second_difference(inp.f, inp.x, g1, hs),
-                second_diff_2=second_difference(inp.f, inp.x, g2, hs),
+                four_point=_four_point(fp1, fm1, fp2, fm2),
+                second_diff_1=_second(fp1, f0, fm1),
+                second_diff_2=_second(fp2, f0, fm2),
                 hquad=float(hs @ hess @ hs),
             )
         )

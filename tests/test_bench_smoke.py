@@ -25,5 +25,9 @@ def test_symmetry_decide_traced_run():
     assert traced_run("symmetry-decide")["linalg.symmetric_eigen.calls"]["value"] > 0
 
 
+def test_stencil_order_traced_run():
+    assert traced_run("stencil-order")["expr.hessian.calls"]["value"] > 0
+
+
 def test_group_audit_traced_run():
     assert traced_run("group-audit")["signgroup.group_properties_check.calls"]["value"] > 0

@@ -269,6 +269,28 @@ class TestStencil:
         assert code == 3
 
 
+    @pytest.mark.parametrize(
+        ("f", "x"),
+        [("x1^4 + x2^4 + x1*1e308*10", "1,1"), ("x1^4 + x2^4 + x1/x2", "1,1e-320")],
+    )
+    def test_non_finite_exits_3_with_one_error_line(self, capsys, f, x):
+        code, out, err = run(
+            capsys, "stencil", "--f", f, "--n", "2", "--x", x, "--h", "0.1,0.2",
+            "--s1", "++", "--s2=-+",
+        )
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_deep_nesting_exits_2(self, capsys):
+        deep = "(" * 1200 + "x1" + ")" * 1200
+        code, out, err = run(
+            capsys, "stencil", "--f", deep, "--n", "1", "--x", "1", "--h", "0.1",
+            "--s1", "+", "--s2=-",
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "nesting" in err
+
+
 class TestDemo:
     def test_demo_passes(self, capsys):
         code, out, err = run(capsys, "demo")

@@ -1,6 +1,7 @@
-"""Expression parsing, evaluation, hyper-dual AD and pretty-printing."""
+"""Expression parsing, the evaluation tape, hyper-dual AD and pretty-printing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +12,21 @@ from numpy.testing import assert_allclose
 from conftest import (
     AD_CORPUS,
     REF_FUNCTION,
+    HyperDual,
     fd_gradient,
     fd_hessian,
     guarded_relative,
+    pairwise_gradient,
+    pairwise_hessian,
     reference_hessian,
+    tree_eval,
 )
 from signflip.expr import (
+    MAX_NESTING,
     Binary,
     Call,
     DomainError,
-    HyperDual,
+    Expression,
     Neg,
     Number,
     ParseError,
@@ -28,6 +34,7 @@ from signflip.expr import (
     Var,
     VarIndexError,
     evaluate,
+    evaluate_points,
     gradient,
     hessian,
     parse,
@@ -100,6 +107,36 @@ class TestParse:
         with pytest.raises(ValueError):
             parse("x1", 0)
 
+    def test_any_whitespace_separates_tokens(self):
+        assert parse("x1\n+\tx2\u00a0*\r2", 2).root == parse("x1 + x2*2", 2).root
+
+    def test_error_position_after_whitespace(self):
+        with pytest.raises(ParseError) as info:
+            parse("x1 +\n  #", 1)
+        assert info.value.position == 7
+
+
+NESTED = {
+    "parentheses": lambda d: "(" * d + "x1" + ")" * d,
+    "calls": lambda d: "sin(" * d + "x1" + ")" * d,
+    "minus": lambda d: "-" * d + "x1",
+    "powers": lambda d: "x1" + "^x1" * d,
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("form", NESTED)
+    def test_at_the_cap_parses_and_evaluates(self, form):
+        e = parse(NESTED[form](MAX_NESTING), 1)
+        assert math.isfinite(evaluate(e, [1.0]))
+        assert parse(to_string(e), 1).root == e.root
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200, 3000])
+    @pytest.mark.parametrize("form", NESTED)
+    def test_past_the_cap_is_a_parse_error(self, form, depth):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse(NESTED[form](depth), 1)
+
 
 class TestEvaluate:
     def test_reference_function_value(self):
@@ -142,6 +179,82 @@ class TestEvaluate:
         e = parse(REF_FUNCTION, 3)
         p = [0.3, 0.7, 1.9]
         assert evaluate(e, p) == evaluate(e, p)
+
+
+class TestNonFinite:
+    def test_overflowing_value(self):
+        with pytest.raises(DomainError):
+            evaluate(parse("x1*1e308*10", 1), [1.0])
+
+    def test_overflowing_point_among_many(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="index 1"):
+                evaluate_points(parse("x1*1e308", 1), [[1.0], [100.0], [2.0]])
+
+    @pytest.mark.parametrize("derivative", [gradient, hessian])
+    def test_overflowing_derivatives(self, derivative):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                derivative(parse("x1/x2", 2), [1.0, 1e-320])
+
+    def test_sine_of_infinity(self):
+        with pytest.raises(DomainError):
+            evaluate(parse("sin(x1*1e308*10)", 1), [1.0])
+
+    def test_product_of_constants_carries_no_derivative(self):
+        # 0 * inf is NaN, but as a plain float it has no derivatives to spoil
+        e = parse("x1^2 + 0*2^1024", 1)
+        assert gradient(e, [1.5]).tolist() == pairwise_gradient(e, [1.5]).tolist() == [3.0]
+        assert hessian(e, [1.5]).tolist() == pairwise_hessian(e, [1.5]).tolist() == [[2.0]]
+
+
+class TestTape:
+    def test_lowered_once(self):
+        e = parse(REF_FUNCTION, 3)
+        assert e.tape is e.tape
+
+    def test_power_by_a_number_is_one_instruction(self):
+        # x1, ^2 as one instruction, 2, ^x1 as a constant and a power
+        assert len(parse("x1^2 + 2^x1", 1).tape) == 6
+
+    def test_equal_expressions_ignore_the_tape(self):
+        a, b = parse("x1 + 1", 1), parse("x1 + 1", 1)
+        a.tape
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("terms", [1200, 3000])
+    def test_long_sums_run_without_recursion(self, terms):
+        coeffs = np.random.default_rng(terms).uniform(0.5, 1.0, size=terms).tolist()
+        e = parse(" + ".join(f"{c!r}*x1^2*x2" for c in coeffs), 2)
+        x = [0.7, 1.3]
+        c = math.fsum(coeffs)
+        assert evaluate(e, x) == pytest.approx(c * 0.7**2 * 1.3, rel=1e-12)
+        assert evaluate_points(e, [x, x]).tolist() == [evaluate(e, x)] * 2
+        assert_allclose(gradient(e, x), [c * 2 * 0.7 * 1.3, c * 0.7**2], rtol=1e-12)
+        assert_allclose(hessian(e, x), [[c * 2 * 1.3, c * 2 * 0.7], [c * 2 * 0.7, 0.0]], rtol=1e-12)
+
+
+class TestEvaluatePoints:
+    def test_rows_are_points(self):
+        e = parse(REF_FUNCTION, 3)
+        pts = np.array([[1.0, 1.0, 1.0], [0.3, -0.2, 2.0]])
+        assert evaluate_points(e, pts).tolist() == [evaluate(e, p) for p in pts]
+
+    def test_constant_broadcasts(self):
+        assert evaluate_points(parse("2*3", 2), np.zeros((3, 2))).tolist() == [6.0] * 3
+
+    def test_result_is_a_fresh_array(self):
+        pts = np.array([[1.0], [2.0]])
+        out = evaluate_points(parse("x1", 1), pts)
+        out[0] = 9.0
+        assert pts[0, 0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2)])
+    def test_shape_checked(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            evaluate_points(parse("x1 + x2", 2), np.zeros(shape))
 
 
 class TestHyperDual:
@@ -259,6 +372,73 @@ def ast_strategy(n_vars: int):
         )
 
     return st.recursive(leaves, extend, max_leaves=25)
+
+
+def outcome(fn):
+    """The result, or the exception type of a failure to evaluate.
+
+    ValueError comes only from the tree walks, whose ``math.sin`` rejects inf.
+    """
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+point3 = st.tuples(coordinate, coordinate, coordinate)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy(3), st.lists(point3, min_size=1, max_size=6))
+def test_points_pass_equals_scalar_evaluate(root, points):
+    e = Expression(root, 3)
+    scalar = [outcome(lambda p=p: evaluate(e, p)) for p in points]
+    batch = outcome(lambda: evaluate_points(e, points))
+    failures = [r for r in scalar if isinstance(r, type)]
+    if isinstance(batch, type):
+        assert batch in failures
+    else:
+        assert not failures
+        assert all(map(same_bits, batch.tolist(), scalar))
+    # scalar evaluate against the recursive walk: the same bits where the
+    # walk is finite, a failure in both where either fails
+    for p, value in zip(points, scalar):
+        walk = outcome(lambda p=p: tree_eval(root, list(p)))
+        if isinstance(walk, type) or not math.isfinite(walk):
+            assert isinstance(value, type)
+        else:
+            assert not isinstance(value, type) and same_bits(value, walk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy(3), point3)
+def test_lanes_equal_pairwise_walks(root, point):
+    # The contract is ==, so zeros of either sign match.  Where the tree
+    # walks overflow the tape may not agree (their lifted zeros turn inf
+    # into NaN), so only finite walks and domain errors count.
+    e = Expression(root, 3)
+    for lanes, walks in ((hessian, pairwise_hessian), (gradient, pairwise_gradient)):
+        expected = outcome(lambda: walks(e, point))
+        got = outcome(lambda: lanes(e, point))
+        if isinstance(expected, type):
+            assert isinstance(got, type)
+        elif np.all(np.isfinite(expected)):
+            assert np.array_equal(got, expected)
+
+
+def test_lanes_equal_pairwise_walks_on_corpus():
+    rng = np.random.default_rng(71)
+    for text, n, low, high in AD_CORPUS:
+        e = parse(text, n)
+        for _ in range(10):
+            x = rng.uniform(low, high, size=n)
+            assert np.array_equal(hessian(e, x), pairwise_hessian(e, x)), text
+            assert np.array_equal(gradient(e, x), pairwise_gradient(e, x)), text
 
 
 @settings(max_examples=300, deadline=None)

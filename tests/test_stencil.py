@@ -279,6 +279,27 @@ class TestOrderEstimate:
         assert auto.rows == supplied.rows
         assert auto.fitted_order == supplied.fitted_order
 
+    def test_rows_equal_the_per_call_stencils(self, reference_setup):
+        f, group, g1, g2 = reference_setup
+        inp = StencilInput(f, REF_POINT, REF_STEP, g1.pattern, g2.pattern)
+        for r in order_estimate(inp, group).rows:
+            hs = r.scale * REF_STEP
+            assert r.four_point == four_point_stencil(f, REF_POINT, g1, g2, hs)
+            assert r.second_diff_1 == second_difference(f, REF_POINT, g1, hs)
+            assert r.second_diff_2 == second_difference(f, REF_POINT, g2, hs)
+
+    @pytest.mark.parametrize("terms", [1200, 3000])
+    def test_long_sum_runs_without_recursion(self, terms):
+        coeffs = np.random.default_rng(terms).uniform(0.5e-3, 1e-3, size=terms).tolist()
+        cubic = " + ".join(f"{c!r}*x1^2*x2" for c in coeffs)
+        f = parse("x1^4 + 2*x2^4 + 3*x1^2 - x2^2 + x1*x2 + " + cubic, 2)
+        inp = StencilInput(
+            f, [0.7, 1.3], [0.2, 0.1], SignPattern.from_string("++"), SignPattern.from_string("-+")
+        )
+        report = order_estimate(inp)
+        assert len(report.rows) == len(DEFAULT_SCALES)
+        assert abs(report.fitted_order - 4.0) < 0.01
+
     def test_group_dimension_checked(self, reference_setup):
         f, group, g1, g2 = reference_setup
         inp = StencilInput(
