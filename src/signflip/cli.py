@@ -24,7 +24,7 @@ from .linalg import (
     hermitian_eigen,
     symmetric_eigen,
 )
-from .matio import MatrixFormatError, read_matrix
+from .matio import MatrixFormatError, _format_entry, read_matrix
 from .signgroup import (
     ENUMERATION_CAP,
     SignPattern,
@@ -54,11 +54,7 @@ DEMO_S_DECADE_REF = 6.38e-9
 
 
 def _fmt(value) -> str:
-    if isinstance(value, complex) or np.iscomplexobj(value):
-        z = complex(value)
-        sign = "-" if np.signbit(z.imag) else "+"
-        return f"{z.real:.6g}{sign}{abs(z.imag):.6g}i"
-    return f"{float(value):.6g}"
+    return _format_entry(value, ".6g")
 
 
 def _print_matrix(m, indent: str = "  ") -> None:
@@ -72,14 +68,8 @@ def _vec_str(v) -> str:
 
 def _jsonable_matrix(m):
     if np.iscomplexobj(m):
-        return [[_full_entry(v) for v in row] for row in m]
+        return [[_format_entry(v) for v in row] for row in m]
     return [[float(v) for v in row] for row in m]
-
-
-def _full_entry(value) -> str:
-    z = complex(value)
-    sign = "-" if np.signbit(z.imag) else "+"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:

@@ -14,10 +14,11 @@ means ``-(x1^2)``.  Parentheses, calls, minus signs and ``^`` may nest at
 most ``MAX_NESTING`` deep.
 
 Each Expression is lowered once, without recursion, into a postfix tape,
-where ``^`` with a number as exponent is one power instruction.  A single
-operand-stack loop runs the tape over three kinds of operand: one float per
-variable (``evaluate``), one NumPy column of points per variable
-(``evaluate_points``), or hyper-dual lanes (``gradient`` and ``hessian``).
+where ``^`` with a number as exponent is one power instruction; the tape is
+what an Expression compares and hashes by.  A single operand-stack loop runs
+the tape over four kinds of operand: one float per variable (``evaluate``),
+one NumPy column of points per variable (``evaluate_points``), hyper-dual
+lanes (``gradient`` and ``hessian``), or infix text (``to_string``).
 A hyper-dual number carries a value, first partials d1 and d2 along two
 seeded directions and the mixed partial d12; the Hessian runs its n(n+1)/2
 index pairs as lanes of one pass, each exact to roundoff.  Transcendental
@@ -34,8 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,18 +95,26 @@ class Call:
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed scalar function of ``n_vars`` variables."""
+    """Parsed scalar function of ``n_vars`` variables.
 
-    root: object
+    ``root`` is the parser's AST and ``tape`` its postfix program, lowered
+    once here.  The tape decodes to one AST only, so equality and hashing
+    use ``(n_vars, tape)``; ``str`` prints the tape and ``repr`` is the
+    ``parse`` call that rebuilds the expression.
+    """
+
+    root: object = field(compare=False, repr=False)
     n_vars: int
+    tape: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tape", _lower(self.root))
 
     def __str__(self) -> str:
-        return to_string(self.root)
+        return to_string(self)
 
-    @cached_property
-    def tape(self) -> tuple:
-        """The postfix program every evaluation runs, lowered on first use."""
-        return _lower(self.root)
+    def __repr__(self) -> str:
+        return f"parse({str(self)!r}, {self.n_vars})"
 
 
 _TOKEN_RE = re.compile(
@@ -246,6 +254,7 @@ def parse(text: str, n_vars: int) -> Expression:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.position)
+    del parser  # free the tokens first: holding them while lowering raises peak memory
     return Expression(root, n_vars)
 
 
@@ -636,51 +645,43 @@ _PREC_POW = 4
 _PREC_ATOM = 9
 
 
-def _prec(node) -> int:
-    if isinstance(node, Binary):
-        if node.op == "^":
-            return _PREC_POW
-        return _PREC_MUL if node.op in "*/" else _PREC_ADD
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+def _bracket(operand, below: int) -> str:
+    text, prec = operand
+    return f"({text})" if prec < below else text
 
 
-def _wrap(node, need: bool) -> str:
-    text = _render(node)
-    return f"({text})" if need else text
+def _infix(symbol: str, prec: int, left_below: int, right_below: int):
+    return lambda a, b, _: (_bracket(a, left_below) + symbol + _bracket(b, right_below), prec)
 
 
-def _render(node) -> str:
-    if isinstance(node, Number):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Call):
-        return f"{node.name}({_render(node.child)})"
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.child, _prec(node.child) < _PREC_NEG)
-    op = node.op
-    if op == "^":
-        # left must be an atom; right may be any unary (so bare Neg/^ are fine)
-        left = _wrap(node.left, _prec(node.left) <= _PREC_POW)
-        right = _wrap(node.right, _prec(node.right) < _PREC_NEG)
-        return f"{left}^{right}"
-    p = _prec(node)
-    left = _wrap(node.left, _prec(node.left) < p)
-    right = _wrap(node.right, _prec(node.right) <= p)
-    if op in "+-":
-        return f"{left} {op} {right}"
-    return f"{left}{op}{right}"
+class _Text:
+    """Infix text and its precedence, for printing a tape.
+
+    ``^`` brackets a left operand of precedence up to its own and a right
+    one below a negation; ``+ - * /`` bracket a left operand below their own
+    precedence and a right one at or below it.
+    """
+
+    const = staticmethod(lambda c: (repr(c), _PREC_ATOM))
+    ops = (None, None, lambda a, _: ("-" + _bracket(a, _PREC_NEG), _PREC_NEG),
+           lambda a, name: (f"{name}({a[0]})", _PREC_ATOM),
+           lambda a, c: (_bracket(a, _PREC_POW + 1) + "^" + repr(c), _PREC_POW),
+           _infix(" + ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+           _infix(" - ", _PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+           _infix("*", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+           _infix("/", _PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+           _infix("^", _PREC_POW, _PREC_POW + 1, _PREC_NEG))
 
 
 def to_string(node) -> str:
-    """Render an AST to text that re-parses to a structurally equal AST.
+    """Text of an Expression, or of a bare AST, that re-parses to it.
 
-    Round-trip holds for parser-produced trees; hand-built Number nodes
-    with negative values render with a leading minus and re-parse as a
-    negation node instead.
+    One pass of the tape over text operands, so long sums print without
+    recursion.  Round-trip holds for parser-produced trees; hand-built
+    Number nodes with negative values print with a leading minus and
+    re-parse as a negation node instead.
     """
-    if isinstance(node, Expression):
-        node = node.root
-    return _render(node)
+    tape = node.tape if isinstance(node, Expression) else _lower(node)
+    n_vars = 1 + max((arg for op, arg in tape if op == _VAR), default=-1)
+    names = [(f"x{k + 1}", _PREC_ATOM) for k in range(n_vars)]
+    return _run(tape, names, _Text)[0]

@@ -71,12 +71,13 @@ def read_matrix(path) -> np.ndarray:
         return parse_matrix(fh.read())
 
 
-def _format_entry(value) -> str:
+def _format_entry(value, spec: str = "") -> str:
+    """One entry as ``a`` or ``a+bi`` in format ``spec``; the empty spec reads back exactly."""
     if isinstance(value, complex) or np.iscomplexobj(value):
         z = complex(value)
         sign = "-" if np.signbit(z.imag) else "+"
-        return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-    return repr(float(value))
+        return f"{z.real:{spec}}{sign}{abs(z.imag):{spec}}i"
+    return f"{float(value):{spec}}"
 
 
 def format_matrix(m, comments: tuple[str, ...] = ()) -> str:

@@ -219,32 +219,32 @@ def _flip_masks(n: int, exhaustive: bool) -> np.ndarray:
     return ((k >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
 
 
-def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``||g A - A g||_F`` for the element ``g`` of each flip mask.
+def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray):
+    """``||g A - A g||_F`` for the element ``g`` of each flip mask, as ``(norms, e)``.
 
     For orthonormal rows ``V`` the commutator is ``-2 V* (D B - B D) V`` with
     ``B = V A V*`` and ``D`` the mask's diagonal, whose nonzero entries are
     the ``B_ik`` with exactly one of ``i, k`` flipped.  The sum of their
     squares has only non-negative terms, so it cannot cancel.  ``A`` is
     first brought to unit scale by an exact power of two, so the squares
-    neither overflow nor underflow, and the norms are scaled back.
+    neither overflow nor underflow; the norms are those of ``2**-e A``.
     """
     e = _exponent(a)
     b = basis @ _times_power_of_two(a, -e) @ basis.conj().T
     w = np.abs(b) ** 2
     w += w.T
     across = np.sum((masks @ w) * (1.0 - masks), axis=1)
-    return _times_power_of_two(2.0 * np.sqrt(across), e)
+    return 2.0 * np.sqrt(across), e
 
 
 def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
-    """Largest ``||gA - Ag||_F`` over the group's generators."""
+    """Largest ``||gA - Ag||_F`` over the generators; OverflowError beyond the float range."""
     m = as_matrix(a, name="a")
     if m.shape[0] != group.n:
         raise DimensionMismatchError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but group acts on dimension {group.n}"
         )
-    return float(np.max(_flip_commutators(m, group.basis, _flip_masks(group.n, False))))
+    return _generator_check(m, group.basis, math.inf).max_commutator
 
 
 def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -265,7 +265,8 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
         tol = default_tolerance(m)
     if exhaustive:
         _check_enumerable(n, FULL_AUDIT_CAP)
-    return bool(np.all(_flip_commutators(m, basis, _flip_masks(n, exhaustive)) <= tol))
+    norms, e = _flip_commutators(m, basis, _flip_masks(n, exhaustive))
+    return bool(np.all(norms <= _times_power_of_two(float(tol), -e)))
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -296,9 +297,14 @@ class EquivarianceCheck:
 
 
 def _generator_check(m: np.ndarray, basis: np.ndarray, tol: float) -> EquivarianceCheck:
-    norms = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False))
+    """Generator commutators against ``tol`` at unit scale; OverflowError, not ``inf``."""
+    norms, e = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False))
     worst = int(np.argmax(norms))
-    return EquivarianceCheck(bool(norms[worst] <= tol), basis, float(norms[worst]), tol, worst)
+    largest = _times_power_of_two(float(norms[worst]), e)
+    if not math.isfinite(largest):
+        raise OverflowError(f"a commutator norm (about {norms[worst]:.6g} * 2**{e}) exceeds the float range")
+    verdict = bool(norms[worst] <= _times_power_of_two(float(tol), -e))
+    return EquivarianceCheck(verdict, basis, largest, tol, worst)
 
 
 def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:

@@ -1,4 +1,4 @@
-"""Shared reference data, random-matrix builders and derivative oracles."""
+"""Shared reference data, random-matrix builders, derivative oracles and the printer oracle."""
 
 import itertools
 import math
@@ -318,6 +318,50 @@ def tree_eval(node, xs):
             raise DomainError("division by zero")
         return left / right
     return _tree_pow(left, right)
+
+
+# The recursive printer the package used before printing ran off the tape,
+# kept as the oracle for the exact text of ``to_string``.
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 9
+
+
+def _prec(node) -> int:
+    if isinstance(node, Binary):
+        if node.op == "^":
+            return _PREC_POW
+        return _PREC_MUL if node.op in "*/" else _PREC_ADD
+    if isinstance(node, Neg):
+        return _PREC_NEG
+    return _PREC_ATOM
+
+
+def _wrap(node, need: bool) -> str:
+    text = render(node)
+    return f"({text})" if need else text
+
+
+def render(node) -> str:
+    """Recursive infix text of an AST."""
+    if isinstance(node, Number):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"x{node.index}"
+    if isinstance(node, Call):
+        return f"{node.name}({render(node.child)})"
+    if isinstance(node, Neg):
+        return "-" + _wrap(node.child, _prec(node.child) < _PREC_NEG)
+    op = node.op
+    if op == "^":
+        # left must be an atom; right may be any unary (so bare Neg/^ are fine)
+        left = _wrap(node.left, _prec(node.left) <= _PREC_POW)
+        right = _wrap(node.right, _prec(node.right) < _PREC_NEG)
+        return f"{left}^{right}"
+    p = _prec(node)
+    left = _wrap(node.left, _prec(node.left) < p)
+    right = _wrap(node.right, _prec(node.right) <= p)
+    if op in "+-":
+        return f"{left} {op} {right}"
+    return f"{left}{op}{right}"
 
 
 def pairwise_gradient(e, x) -> np.ndarray:

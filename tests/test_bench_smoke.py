@@ -31,3 +31,7 @@ def test_stencil_order_traced_run():
 
 def test_group_audit_traced_run():
     assert traced_run("group-audit")["signgroup.group_properties_check.calls"]["value"] > 0
+
+
+def test_cli_session_traced_run():
+    assert traced_run("cli-session")["cli.main.calls"]["value"] > 0

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via ``main``."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ class TestCheck:
         assert "symmetric: no" in out
         assert "max generator commutator" in out
         assert "worst generator: 0" in out
+
+    def test_commutator_beyond_float_range_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "huge_shear.txt"
+        write_matrix(path, 1.7e308 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "float range" in err
 
     def test_complex_input_exits_2(self, capsys, hermitian_file):
         code, out, err = run(capsys, "check", hermitian_file)

@@ -19,6 +19,7 @@ from conftest import (
     pairwise_gradient,
     pairwise_hessian,
     reference_hessian,
+    render,
     tree_eval,
 )
 from signflip.expr import (
@@ -234,6 +235,11 @@ class TestTape:
         assert evaluate_points(e, [x, x]).tolist() == [evaluate(e, x)] * 2
         assert_allclose(gradient(e, x), [c * 2 * 0.7 * 1.3, c * 0.7**2], rtol=1e-12)
         assert_allclose(hessian(e, x), [[c * 2 * 1.3, c * 2 * 0.7], [c * 2 * 0.7, 0.0]], rtol=1e-12)
+        text = str(e)
+        assert text == to_string(e.root) == " + ".join(f"{c!r}*x1^2.0*x2" for c in coeffs)
+        assert repr(e) == f"parse({text!r}, 2)"
+        again = parse(text, 2)
+        assert again == e and hash(again) == hash(e)
 
 
 class TestEvaluatePoints:
@@ -448,6 +454,49 @@ def test_print_parse_round_trip(root):
     assert parse(text, 3).root == root
 
 
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy(3))
+def test_printed_text_matches_the_recursive_printer(root):
+    assert str(Expression(root, 3)) == to_string(root) == render(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy(3), ast_strategy(3), st.booleans())
+def test_expressions_are_equal_exactly_when_trees_are(r1, r2, copy):
+    if copy:
+        r2 = parse(render(r1), 3).root  # an equal tree built afresh
+    a, b = Expression(r1, 3), Expression(r2, 3)
+    assert (a == b) == (r1 == r2)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def small_trees(depth: int) -> list:
+    """Every tree up to ``depth`` levels over a small alphabet, each once.
+
+    It has both kinds of ``^`` (by a number and by an expression), a minus
+    at every position and two function names.
+    """
+    leaves = [Number(2.0), Var(1)]
+    trees = leaves
+    for _ in range(depth):
+        trees = (
+            leaves
+            + [Neg(t) for t in trees]
+            + [Call(name, t) for name in ("sin", "cos") for t in trees]
+            + [Binary(op, a, b) for op in "+-*/^" for a in trees for b in trees]
+        )
+    return trees
+
+
+def test_every_small_tree_prints_and_compares_by_its_tape():
+    trees = small_trees(2)
+    expressions = [Expression(t, 1) for t in trees]
+    assert len(set(expressions)) == len(trees) == 4006
+    for e, t in zip(expressions, trees):
+        assert str(e) == render(t)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=-5, max_value=5, allow_nan=False),
@@ -481,6 +530,14 @@ class TestToString:
     def test_named_round_trips(self, text):
         e = parse(text, 3)
         assert parse(to_string(e), 3).root == e.root
+
+    def test_repr_is_the_parse_call(self):
+        e = parse("x1*(x2 + 1)", 2)
+        assert repr(e) == "parse('x1*(x2 + 1.0)', 2)"
+        assert eval(repr(e)) == e
+
+    def test_number_of_variables_is_compared(self):
+        assert parse("x1", 1) != parse("x1", 2)
 
     def test_power_left_operand_parenthesized(self):
         e = parse("(-x1)^2", 1)

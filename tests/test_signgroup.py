@@ -1,6 +1,7 @@
 """Sign patterns, conjugated groups, equivariance and normality checks."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,35 @@ class TestSymmetryViaEquivariance:
             assert (scaled.verdict, scaled.worst_generator) == (base.verdict, base.worst_generator)
 
 
+class TestBeyondTheFloatRange:
+    """A commutator norm above the float range: decided, never reported as inf."""
+
+    SHEAR = 1.7e308 * np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def test_verdicts_without_warnings(self):
+        basis = symmetric_eigen(0.5 * (self.SHEAR + self.SHEAR.T)).vectors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_equivariant(self.SHEAR, basis)
+            assert not is_equivariant(self.SHEAR, np.eye(2), exhaustive=True)
+            assert not commutes_with_sign_group(self.SHEAR)
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            symmetry_via_equivariance,
+            lambda a: normality_via_equivariance(a, np.eye(2)),
+            lambda a: max_generator_commutator(a, conjugated_group(np.eye(2))),
+        ],
+        ids=["symmetry", "normality", "max_generator_commutator"],
+    )
+    def test_reported_norm_raises(self, report):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float range"):
+                report(self.SHEAR)
+
+
 class TestNormalityViaEquivariance:
     def test_hermitian_default_basis(self):
         rng = np.random.default_rng(27)
@@ -479,7 +509,8 @@ def test_closed_form_commutators_match_element_products(n, seed):
     a = rng.normal(size=(n, n))
     if rng.integers(2):
         a = v.T @ np.diag(rng.normal(size=n)) @ v + 10.0 ** rng.uniform(-12, 0) * a
-    closed = _flip_commutators(a, v, _flip_masks(n, True))
+    norms, k = _flip_commutators(a, v, _flip_masks(n, True))
+    closed = np.ldexp(norms, k)
     explicit = [commutator_norm(e.matrix, a) for e in enumerate_group(v)]
     assert np.max(np.abs(closed - explicit)) <= 1e-10 * frobenius(a)
 
