@@ -92,9 +92,9 @@ def _read_real_matrix(path: str) -> np.ndarray:
 def run_eig(args) -> int:
     m = read_matrix(args.matrix)
     if np.iscomplexobj(m):
-        dec = hermitian_eigen(m, tol=args.tol)
+        dec = hermitian_eigen(m)
     else:
-        dec = symmetric_eigen(m, tol=args.tol)
+        dec = symmetric_eigen(m)
     if args.json:
         print(
             json.dumps(
@@ -102,8 +102,7 @@ def run_eig(args) -> int:
                     "values": [float(v) for v in dec.values],
                     "V": _jsonable_matrix(dec.vectors),
                     "residual": float(dec.residual),
-                    "sweeps": dec.sweeps,
-                    "rotations": dec.rotations,
+                    "orthogonality": float(dec.orthogonality),
                 }
             )
         )
@@ -281,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eig = sub.add_parser("eig", help="eigendecomposition of a symmetric (or Hermitian) matrix file")
     p_eig.add_argument("matrix", help="path to a matrix text file")
-    p_eig.add_argument("--tol", type=float, default=1e-12, help="off-diagonal convergence tolerance")
-    p_eig.add_argument("--json", action="store_true", help="emit {values, V, residual, sweeps, rotations} as JSON")
+    p_eig.add_argument("--json", action="store_true", help="emit {values, V, residual, orthogonality} as JSON")
     p_eig.set_defaults(func=run_eig)
 
     p_check = sub.add_parser("check", help="decide symmetry via sign-group equivariance")

@@ -1,13 +1,10 @@
-"""Dense real/complex matrix predicates and a round-robin Jacobi eigensolver.
+"""Dense real/complex matrix predicates and the self-adjoint eigensolvers.
 
-Matrices are plain square numpy arrays (float64 or complex128).  One Jacobi
-kernel serves both :func:`symmetric_eigen` and :func:`hermitian_eigen`: a
-complex rotation removes the pivot's unit phase before the real rotation,
-and real input is the case where that phase is 1.  Each sweep visits the
-pivots in the round-robin (tournament) order of Brent & Luk: rounds of
-``n // 2`` pivots that share no row or column, each round applied as one
-sparse rotation product.  Input is first scaled exactly by a power of two,
-so its norm cannot overflow and ``PIVOT_SKIP`` is relative to its size.
+Matrices are plain square numpy arrays (float64 or complex128).  Both
+:func:`symmetric_eigen` and :func:`hermitian_eigen` hand the eigensolve to
+LAPACK through ``np.linalg.eigh``.  Input is first scaled exactly by a power
+of two, so its norm cannot overflow and ``2**k * A`` reaches LAPACK as
+bitwise the same matrix.
 
 The eigensolvers follow one fixed convention throughout the package: the
 returned ``vectors`` array stores unit eigenvectors in its *rows*, so that
@@ -17,7 +14,6 @@ diagonal matrix of eigenvalues, sorted ascending.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +22,6 @@ import numpy as np
 # Group enumeration downstream is exponential in n, so the eigensolvers are
 # deliberately guarded to small dense problems.
 MAX_EIGEN_N = 64
-
-# Rotations on pivots below this magnitude are skipped during a sweep.
-PIVOT_SKIP = 1e-30
 
 
 class DimensionMismatchError(ValueError):
@@ -48,7 +41,7 @@ class NotHermitianError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Jacobi sweeps did not reduce the off-diagonal norm below tolerance."""
+    """The LAPACK eigensolver did not converge."""
 
 
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -188,23 +181,23 @@ class EigenDecomposition:
     ``vectors`` is orthogonal (unitary in the Hermitian case) with row ``i``
     the unit eigenvector of ``values[i]``, so ``vectors @ A @ vectors.T``
     reconstructs ``diag(values)``.  ``residual`` is the Frobenius norm of the
-    off-diagonal part of that reconstruction.  ``sweeps`` counts the Jacobi
-    sweeps run and ``rotations`` the pivots actually rotated.
+    off-diagonal part of that reconstruction and ``orthogonality`` the
+    Frobenius norm of ``vectors @ vectors.T - I`` (``.conj().T`` in the
+    Hermitian case).
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residual: float
-    sweeps: int
-    rotations: int
+    orthogonality: float
 
     @property
     def n(self) -> int:
         return len(self.values)
 
 
-def _prepare(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int, float]:
-    """Check the guards and bring ``a`` to unit scale.
+def _prepare(a: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Check the size guard and bring ``a`` to unit scale.
 
     Returns ``a * 2**-e`` with its largest part in ``[1/2, 1)``, the exponent
     ``e`` and the scaled matrix's norm.  Power-of-two scaling is exact, so the
@@ -214,8 +207,6 @@ def _prepare(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int, float]:
         raise DimensionTooLargeError(
             f"eigensolver supports n <= {MAX_EIGEN_N}, got n = {a.shape[0]}"
         )
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
     e = _exponent(a)
     scaled = _times_power_of_two(a, -e)
     return scaled, e, frobenius(scaled)
@@ -224,32 +215,28 @@ def _prepare(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int, float]:
 def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
     # Largest-magnitude component made positive (real) or real-positive
     # (complex); ties resolved by argmax taking the lowest index.
-    out = vectors.copy()
-    for i in range(out.shape[0]):
-        k = int(np.argmax(np.abs(out[i])))
-        pivot = out[i, k]
-        if out.dtype.kind == "c":
-            mag = abs(pivot)
-            if mag > 0.0:
-                out[i] *= pivot.conjugate() / mag
-        elif pivot < 0.0:
-            out[i] = -out[i]
-    return out
+    k = np.argmax(np.abs(vectors), axis=1)
+    pivot = np.take_along_axis(vectors, k[:, None], axis=1)
+    if vectors.dtype.kind == "c":
+        return vectors * (pivot.conj() / np.abs(pivot))
+    return vectors * np.where(pivot < 0.0, -1.0, 1.0)
 
 
-def _finalize(
-    a: np.ndarray, e: int, diag: np.ndarray, rows: np.ndarray, sweeps: int, rotations: int
-) -> EigenDecomposition:
-    """Sort and normalize the solution for the scaled ``a``, then undo the scale ``2**-e``.
+def _eigh(a: np.ndarray, e: int) -> EigenDecomposition:
+    """Solve the scaled ``a`` with LAPACK, normalize the rows, then undo the scale ``2**-e``.
 
-    Raises ``OverflowError`` when a value or the residual is too large to
-    scale back, rather than returning ``inf``.
+    Raises ``NoConvergenceError`` when LAPACK does not converge and
+    ``OverflowError`` when a value or the residual is too large to scale
+    back, rather than returning ``inf``.
     """
-    order = np.argsort(diag, kind="stable")
-    vectors = _normalize_row_signs(rows[order])
+    try:
+        diag, columns = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigensolver: {exc}") from None
+    vectors = _normalize_row_signs(columns.conj().T)
     residual = off_diagonal_norm(vectors @ a @ vectors.conj().T)
     with np.errstate(over="ignore"):
-        values = _times_power_of_two(diag[order], e)
+        values = _times_power_of_two(diag, e)
         scaled_residual = _times_power_of_two(residual, e)
     if not (np.all(np.isfinite(values)) and math.isfinite(scaled_residual)):
         largest = max(float(np.max(np.abs(diag))), residual)
@@ -260,136 +247,45 @@ def _finalize(
         values=values,
         vectors=vectors,
         residual=scaled_residual,
-        sweeps=sweeps,
-        rotations=rotations,
+        orthogonality=frobenius(vectors @ vectors.conj().T - np.eye(len(diag))),
     )
 
 
-@functools.lru_cache(maxsize=MAX_EIGEN_N)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The pivot rounds of one sweep, as ``(p, q)`` index arrays with ``p < q``.
+def symmetric_eigen(a) -> EigenDecomposition:
+    """Diagonalize a symmetric real matrix with LAPACK's ``eigh``.
 
-    Every pair is met once per sweep and the pairs of a round are disjoint
-    (Brent & Luk's parallel ordering).  It is the circle method of a
-    round-robin tournament: ``n`` rounded up to an even count of seats, seat 0
-    fixed and the others moved on one seat per round, giving ``n - 1`` rounds
-    (``n`` for odd ``n``, where the pair holding the spare seat idles).
-    """
-    m = n + n % 2
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(min(p, q), max(p, q)) for p, q in zip(ring[: m // 2], reversed(ring))]
-        index = np.array([pq for pq in pairs if pq[1] < n], dtype=np.intp).reshape(-1, 2)
-        index.flags.writeable = False
-        rounds.append((index[:, 0], index[:, 1]))
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return tuple(rounds)
-
-
-def _jacobi(
-    a: np.ndarray, norm_a: float, tol: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Round-robin Jacobi sweeps on a validated self-adjoint matrix.
-
-    Returns the unsorted eigenvalues, the eigenvector rows, the sweep count
-    and the rotation count.  Each rotation on pivot ``(p, q)`` writes
-    ``a_pq = r * phase`` with ``|phase| = 1`` and composes that phase with the
-    real rotation annihilating ``r``; real input is the unit-phase case
-    ``r = a_pq``, ``phase = 1``.  The pivots of a round share no row or
-    column, so their rotations are all computed from the matrix before the
-    round, equal those of applying them one by one, and are applied together
-    as one rotation matrix ``J``: ``work = J* work J``.
-    """
-    hermitian = a.dtype.kind == "c"
-    n = a.shape[0]
-    work = a.copy()
-    acc = np.eye(n, dtype=a.dtype)
-
-    sweeps = rotations = 0
-    while off_diagonal_norm(work) > tol * norm_a:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError(
-                f"off-diagonal norm {off_diagonal_norm(work):.3e} above "
-                f"{tol:.1e} * ||a||_F after {max_sweeps} sweeps"
-            )
-        for p, q in _round_robin(n):
-            apq = work[p, q]
-            r = np.abs(apq)
-            live = r >= PIVOT_SKIP
-            if not live.all():
-                p, q, apq, r = p[live], q[live], apq[live], r[live]
-                if not len(p):
-                    continue
-            if hermitian:
-                phase = apq / r
-            else:
-                r, phase = apq, 1.0
-            diag = work.diagonal().real
-            tau = (diag[q] - diag[p]) / (2.0 * r)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-
-            # J restricted to (p, q): [[c, s], [-s/phase, c/phase]]
-            rot = np.eye(n, dtype=a.dtype)
-            rot[p, p] = c
-            rot[p, q] = s
-            rot[q, p] = -s / phase
-            rot[q, q] = c / phase
-            work = rot.conj().T @ work @ rot
-            work[p, q] = 0.0
-            work[q, p] = 0.0
-            if hermitian:
-                pq = np.concatenate((p, q))
-                work[pq, pq] = work[pq, pq].real
-            acc = acc @ rot
-            rotations += len(p)
-        sweeps += 1
-
-    return np.diag(work).real.copy(), acc.conj().T.copy(), sweeps, rotations
-
-
-def symmetric_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
-    """Diagonalize a symmetric real matrix by round-robin Jacobi rotations.
-
-    Each sweep visits every pivot ``(p, q)`` once, in rounds of ``n // 2``
-    pivots that share no row or column, and sweeps stop once the
-    off-diagonal Frobenius norm drops below ``tol * ||a||_F``.  The matrix
-    is first scaled exactly by a power of two, so ``2**k * a`` gives the same
-    vectors and ``2**k`` times the values.  The result is deterministic:
-    eigenvalues ascending, each eigenvector row sign-normalized so its
-    largest-magnitude component is positive.
+    The matrix is first scaled exactly by a power of two, so ``2**k * a``
+    gives the same vectors and ``2**k`` times the values.  The result is
+    deterministic: eigenvalues ascending, each eigenvector row
+    sign-normalized so its largest-magnitude component is positive.
 
     Raises:
         NotSymmetricError: if ``a`` is not symmetric to ``1e-12 * ||a||_F``.
-        NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
+        NoConvergenceError: if LAPACK does not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
         OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
-    a, e, norm_a = _prepare(as_real_matrix(a, name="a"), max_sweeps)
+    a, e, norm_a = _prepare(as_real_matrix(a, name="a"))
     if not is_symmetric(a, 1e-12 * norm_a):
         raise NotSymmetricError("input matrix is not symmetric")
-    return _finalize(a, e, *_jacobi(a, norm_a, tol, max_sweeps))
+    return _eigh(a, e)
 
 
-def hermitian_eigen(a, tol: float = 1e-12, max_sweeps: int = 30) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with complex Jacobi rotations.
+def hermitian_eigen(a) -> EigenDecomposition:
+    """Diagonalize a Hermitian matrix with LAPACK's ``eigh``.
 
-    Each rotation composes a phase that makes the pivot real with the real
-    rotation used by :func:`symmetric_eigen`, in the same round-robin order
-    and after the same power-of-two scaling.  Returns real ascending
-    eigenvalues and a unitary row-eigenvector matrix ``w`` with
-    ``w @ a @ w.conj().T`` diagonal; each row is phase-normalized so its
+    Takes the same power-of-two scaling as :func:`symmetric_eigen`.  Returns
+    real ascending eigenvalues and a unitary row-eigenvector matrix ``w``
+    with ``w @ a @ w.conj().T`` diagonal; each row is phase-normalized so its
     largest-magnitude component is real and positive.
 
     Raises:
         NotHermitianError: if ``a`` is not Hermitian to ``1e-12 * ||a||_F``.
-        NoConvergenceError: if ``max_sweeps`` sweeps do not converge.
+        NoConvergenceError: if LAPACK does not converge.
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
         OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
-    a, e, norm_a = _prepare(as_complex_matrix(a, name="a"), max_sweeps)
+    a, e, norm_a = _prepare(as_complex_matrix(a, name="a"))
     if not is_hermitian(a, 1e-12 * norm_a):
         raise NotHermitianError("input matrix is not Hermitian")
-    return _finalize(a, e, *_jacobi(a, norm_a, tol, max_sweeps))
+    return _eigh(a, e)

@@ -70,8 +70,12 @@ def default_tolerance(a) -> float:
     """Commutator tolerance scaled to the matrix: ``1e-8 * ||A||_F``.
 
     It has no absolute floor, so ``A`` and ``2**k * A`` get the same verdict.
+    It is formed on ``A`` at unit scale, so it is finite wherever
+    ``||A||_F`` alone would exceed the float range.
     """
-    return 1e-8 * frobenius(a)
+    m = np.asarray(a)
+    e = _exponent(m)
+    return _times_power_of_two(1e-8 * frobenius(_times_power_of_two(m, -e)), e)
 
 
 @dataclass(frozen=True)
@@ -219,22 +223,34 @@ def _flip_masks(n: int, exhaustive: bool) -> np.ndarray:
     return ((k >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
 
 
-def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray):
-    """``||g A - A g||_F`` for the element ``g`` of each flip mask, as ``(norms, e)``.
+def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray, tol: float | None = None):
+    """``||g A - A g||_F`` for the element ``g`` of each flip mask, as ``(norms, tol, e)``.
 
     For orthonormal rows ``V`` the commutator is ``-2 V* (D B - B D) V`` with
     ``B = V A V*`` and ``D`` the mask's diagonal, whose nonzero entries are
     the ``B_ik`` with exactly one of ``i, k`` flipped.  The sum of their
     squares has only non-negative terms, so it cannot cancel.  ``A`` is
     first brought to unit scale by an exact power of two, so the squares
-    neither overflow nor underflow; the norms are those of ``2**-e A``.
+    neither overflow nor underflow; the norms are those of ``2**-e A``, and
+    so is the returned tolerance: ``tol * 2**-e``, or the default tolerance
+    of ``2**-e A`` when ``tol`` is None.
     """
     e = _exponent(a)
-    b = basis @ _times_power_of_two(a, -e) @ basis.conj().T
+    unit = _times_power_of_two(a, -e)
+    b = basis @ unit @ basis.conj().T
     w = np.abs(b) ** 2
     w += w.T
     across = np.sum((masks @ w) * (1.0 - masks), axis=1)
-    return 2.0 * np.sqrt(across), e
+    unit_tol = default_tolerance(unit) if tol is None else _times_power_of_two(float(tol), -e)
+    return 2.0 * np.sqrt(across), unit_tol, e
+
+
+def _scale_back(x: float, e: int, what: str) -> float:
+    """``x * 2**e`` for a reported quantity; OverflowError, not ``inf``, beyond the float range."""
+    y = _times_power_of_two(float(x), e)
+    if not math.isfinite(y):
+        raise OverflowError(f"{what} (about {x:.6g} * 2**{e}) exceeds the float range")
+    return y
 
 
 def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
@@ -261,12 +277,10 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
     n = basis.shape[0]
     if m.shape[0] != n:
         raise DimensionMismatchError(f"matrix is {m.shape[0]}x{m.shape[0]} but basis is {n}x{n}")
-    if tol is None:
-        tol = default_tolerance(m)
     if exhaustive:
         _check_enumerable(n, FULL_AUDIT_CAP)
-    norms, e = _flip_commutators(m, basis, _flip_masks(n, exhaustive))
-    return bool(np.all(norms <= _times_power_of_two(float(tol), -e)))
+    norms, unit_tol, _ = _flip_commutators(m, basis, _flip_masks(n, exhaustive), tol)
+    return bool(np.all(norms <= unit_tol))
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -296,15 +310,14 @@ class EquivarianceCheck:
     worst_generator: int
 
 
-def _generator_check(m: np.ndarray, basis: np.ndarray, tol: float) -> EquivarianceCheck:
+def _generator_check(m: np.ndarray, basis: np.ndarray, tol: float | None) -> EquivarianceCheck:
     """Generator commutators against ``tol`` at unit scale; OverflowError, not ``inf``."""
-    norms, e = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False))
+    norms, unit_tol, e = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False), tol)
     worst = int(np.argmax(norms))
-    largest = _times_power_of_two(float(norms[worst]), e)
-    if not math.isfinite(largest):
-        raise OverflowError(f"a commutator norm (about {norms[worst]:.6g} * 2**{e}) exceeds the float range")
-    verdict = bool(norms[worst] <= _times_power_of_two(float(tol), -e))
-    return EquivarianceCheck(verdict, basis, largest, tol, worst)
+    largest = _scale_back(norms[worst], e, "a commutator norm")
+    if tol is None:
+        tol = _scale_back(unit_tol, e, "the default tolerance")
+    return EquivarianceCheck(bool(norms[worst] <= unit_tol), basis, largest, tol, worst)
 
 
 def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
@@ -315,9 +328,10 @@ def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
     ``A`` is symmetric.
     """
     m = as_real_matrix(a, name="a")
-    if tol is None:
-        tol = default_tolerance(m)
-    return _generator_check(m, symmetric_eigen(0.5 * (m + m.T)).vectors, tol)
+    # at unit scale the sum m + m^T cannot overflow; the eigensolver scales
+    # its input by a power of two anyway, so the basis is unchanged
+    unit = _times_power_of_two(m, -_exponent(m))
+    return _generator_check(m, symmetric_eigen(0.5 * (unit + unit.T)).vectors, tol)
 
 
 def normality_via_equivariance(a, w=None, tol: float | None = None) -> EquivarianceCheck:
@@ -329,10 +343,8 @@ def normality_via_equivariance(a, w=None, tol: float | None = None) -> Equivaria
     ``w_i``.
     """
     m = as_complex_matrix(a, name="a")
-    if tol is None:
-        tol = default_tolerance(m)
     if w is None:
-        if not is_hermitian(m, tol):
+        if not is_hermitian(m, default_tolerance(m) if tol is None else tol):
             raise NotHermitianError(
                 "no basis given and the matrix is not Hermitian; pass w explicitly"
             )

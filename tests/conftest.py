@@ -392,3 +392,60 @@ def pairwise_hessian(e, x) -> np.ndarray:
             r = tree_eval(e.root, seeded)
             out[i, j] = out[j, i] = r.d12 if isinstance(r, HyperDual) else 0.0
     return out
+
+
+def round_robin(n: int) -> list[list[tuple[int, int]]]:
+    """One Jacobi sweep's pivots ``(p, q)``, ``p < q``, in rounds of disjoint pairs.
+
+    Brent & Luk's parallel ordering, built by the circle method of a
+    round-robin tournament: ``n`` rounded up to an even count of seats, seat 0
+    fixed and the others moved on one seat per round, giving ``n - 1`` rounds
+    (``n`` for odd ``n``, where the pair holding the spare seat idles).
+    """
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [(min(p, q), max(p, q)) for p, q in zip(ring[: m // 2], reversed(ring))]
+        rounds.append([pq for pq in pairs if pq[1] < n])
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return rounds
+
+
+def jacobi_eigen(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 50):
+    """Ascending eigenvalues and unit eigenvector rows of a self-adjoint ``a``.
+
+    The oracle for the LAPACK-backed solvers: cyclic Jacobi, one scalar
+    rotation at a time, sweeping the pivots in ``round_robin`` order until the
+    off-diagonal norm is below ``tol * ||a||_F``.  A complex pivot
+    ``a_pq = r * phase`` has its unit phase removed before the real rotation
+    that annihilates ``r``; real input is the case ``phase = 1``.
+    """
+    hermitian = np.iscomplexobj(a)
+    n = a.shape[0]
+    work = a.copy()
+    acc = np.eye(n, dtype=a.dtype)
+    norm = np.linalg.norm(a)
+    for _ in range(max_sweeps):
+        if np.linalg.norm(work - np.diag(np.diag(work))) <= tol * norm:
+            order = np.argsort(np.diag(work).real)
+            return np.diag(work).real[order], acc.conj().T[order]
+        for p, q in itertools.chain.from_iterable(round_robin(n)):
+            apq = work[p, q]
+            r = abs(apq)
+            if r == 0.0:
+                continue
+            if hermitian:
+                phase = apq / r
+            else:
+                r, phase = apq, 1.0
+            tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
+            t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            rot = np.array([[c, s], [-s / phase, c / phase]])
+            work[:, [p, q]] = work[:, [p, q]] @ rot
+            work[[p, q], :] = rot.conj().T @ work[[p, q], :]
+            work[p, q] = work[q, p] = 0.0
+            acc[:, [p, q]] = acc[:, [p, q]] @ rot
+    raise AssertionError(f"Jacobi oracle did not converge in {max_sweeps} sweeps")

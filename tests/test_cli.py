@@ -61,11 +61,11 @@ class TestEig:
         code, out, err = run(capsys, "eig", "--json", hessian_file)
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"values", "V", "residual", "sweeps", "rotations"}
+        assert set(payload) == {"values", "V", "residual", "orthogonality"}
         decomp = symmetric_eigen(reference_hessian())
         assert payload["values"] == list(decomp.values)
         assert payload["residual"] == decomp.residual
-        assert (payload["sweeps"], payload["rotations"]) == (decomp.sweeps, decomp.rotations)
+        assert payload["orthogonality"] == decomp.orthogonality
         v = np.array(payload["V"])
         assert np.array_equal(v, decomp.vectors)
 
@@ -135,6 +135,18 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "float range" in err
+
+    def test_symmetric_near_float_range_exits_0(self, capsys, tmp_path):
+        # the symmetric part 0.5 * (A + A^T) of this matrix overflows unless
+        # it is formed at unit scale
+        path = tmp_path / "huge_exchange.txt"
+        write_matrix(path, 1.7e308 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "check", str(path))
+        assert code == 0
+        assert "symmetric: yes" in out
+        assert err == ""
 
     def test_complex_input_exits_2(self, capsys, hermitian_file):
         code, out, err = run(capsys, "check", hermitian_file)

@@ -1,8 +1,9 @@
-"""Predicates, matrix helpers and the two Jacobi eigensolvers."""
+"""Predicates, matrix helpers and the two LAPACK-backed eigensolvers."""
 
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,12 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     REF_REFLECTION_4DP,
+    jacobi_eigen,
     random_hermitian,
     random_orthogonal,
     random_symmetric,
     reference_hessian,
+    round_robin,
 )
 from signflip.linalg import (
     DimensionMismatchError,
@@ -23,8 +26,6 @@ from signflip.linalg import (
     NoConvergenceError,
     NotHermitianError,
     NotSymmetricError,
-    PIVOT_SKIP,
-    _round_robin,
     commutator_norm,
     frobenius,
     hermitian_eigen,
@@ -37,6 +38,7 @@ from signflip.linalg import (
     off_diagonal_norm,
     symmetric_eigen,
 )
+from signflip.linalg import _normalize_row_signs
 
 
 class TestNormsAndCommutator:
@@ -138,7 +140,7 @@ class TestSymmetricEigen:
         )
         assert_allclose(dec.vectors, expected_rows, atol=0.0)
         assert dec.residual == 0.0
-        assert (dec.sweeps, dec.rotations) == (0, 0)
+        assert dec.orthogonality == 0.0
 
     def test_exchange_matrix(self):
         dec = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -149,8 +151,7 @@ class TestSymmetricEigen:
             [[inv_sqrt2, -inv_sqrt2], [inv_sqrt2, inv_sqrt2]],
             atol=1e-15,
         )
-        # one rotation annihilates the only pivot
-        assert (dec.sweeps, dec.rotations) == (1, 1)
+        assert dec.orthogonality <= 1e-15
 
     def test_1x1(self):
         dec = symmetric_eigen(np.array([[7.0]]))
@@ -219,7 +220,7 @@ class TestSymmetricEigen:
         assert np.array_equal(scaled.vectors, base.vectors)
         assert np.array_equal(scaled.values, np.ldexp(base.values, k))
         assert scaled.residual == math.ldexp(base.residual, k)
-        assert (scaled.sweeps, scaled.rotations) == (base.sweeps, base.rotations)
+        assert scaled.orthogonality == base.orthogonality
 
     @pytest.mark.parametrize("solver", [symmetric_eigen, hermitian_eigen])
     def test_value_beyond_float_range_raises(self, solver):
@@ -239,15 +240,14 @@ class TestSymmetricEigen:
         with pytest.raises(DimensionTooLargeError):
             symmetric_eigen(np.eye(MAX_EIGEN_N + 1))
 
-    def test_no_convergence_when_sweeps_exhausted(self):
-        rng = np.random.default_rng(3)
-        a = random_symmetric(rng, 12)
-        with pytest.raises(NoConvergenceError):
-            symmetric_eigen(a, max_sweeps=1)
+    def test_no_convergence_when_lapack_fails(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_rejects_bad_max_sweeps(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen(np.eye(2), max_sweeps=0)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for solver in (symmetric_eigen, hermitian_eigen):
+            with pytest.raises(NoConvergenceError, match="did not converge"):
+                solver(np.eye(3))
 
 
 class TestHermitianEigen:
@@ -316,101 +316,107 @@ def test_real_input_parity(n, seed):
     assert np.max(np.abs(herm.vectors - real.vectors)) <= 1e-12 * scale / gap
 
 
+def normalize_row_by_row(vectors):
+    """Reference for the vectorized normalization: one row at a time."""
+    out = vectors.copy()
+    for i in range(out.shape[0]):
+        pivot = out[i, int(np.argmax(np.abs(out[i])))]
+        if out.dtype.kind == "c":
+            out[i] *= pivot.conjugate() / abs(pivot)
+        elif pivot < 0.0:
+            out[i] = -out[i]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, MAX_EIGEN_N])
+def test_row_normalization_matches_row_by_row(n):
+    """Real rows are bitwise those of the row loop; complex rows agree to
+    rounding, since the loop multiplies by a scalar."""
+    rng = np.random.default_rng(n)
+    real = random_orthogonal(rng, n)
+    assert np.array_equal(_normalize_row_signs(real), normalize_row_by_row(real))
+    unitary = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    gap = np.abs(_normalize_row_signs(unitary) - normalize_row_by_row(unitary))
+    assert np.max(gap) <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", range(1, MAX_EIGEN_N + 1))
 def test_round_robin_schedule(n):
-    """One sweep meets every pair p < q once, in rounds of disjoint pairs."""
-    rounds = _round_robin(n)
+    """The Jacobi oracle's sweep meets every pair p < q once, in rounds of disjoint pairs."""
+    rounds = round_robin(n)
     assert len(rounds) == (n if n % 2 else n - 1)
     met = []
-    for p, q in rounds:
+    for pairs in rounds:
+        p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
         assert len(p) == n // 2
         assert np.all(p < q)
         assert len(set(p) | set(q)) == 2 * len(p)
-        met += zip(p.tolist(), q.tolist())
+        met += pairs
     assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=MAX_EIGEN_N),
-    st.sampled_from(["generic", "clustered", "repeated"]),
-    st.sampled_from([symmetric_eigen, hermitian_eigen]),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_values_match_eigh(n, spectrum, solver, seed):
-    """Eigenvalues agree with LAPACK to 1e-13 * ||A||_F, including spectra
-    clustered to 1e-9 and spectra with repeated values."""
-    rng = np.random.default_rng(seed)
+def self_adjoint(rng, n, spectrum, real):
+    """``Q* diag(values) Q`` with the values drawn to ``spectrum``, and the values."""
     if spectrum == "clustered":
         centers = rng.normal(size=max(1, n // 3))
         values = centers[np.arange(n) % len(centers)] * (1.0 + 1e-9 * rng.normal(size=n))
     elif spectrum == "repeated":
         values = rng.choice(rng.normal(size=3), size=n)
+    elif spectrum == "gapped":
+        values = np.cumsum(rng.uniform(0.1, 2.0, size=n)) - rng.uniform(0.0, n)
     else:
         values = rng.normal(size=n)
-    if solver is symmetric_eigen:
+    if real:
         q = random_orthogonal(rng, n)
     else:
         q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
     a = q.conj().T @ np.diag(values) @ q
-    a = 0.5 * (a + a.conj().T)
-    dec = solver(a)
-    assert np.max(np.abs(dec.values - np.linalg.eigvalsh(a))) <= 1e-13 * frobenius(a)
+    return 0.5 * (a + a.conj().T), np.sort(values)
 
 
-def one_pivot_at_a_time(a, tol=1e-12):
-    """Reference for the kernel: the same rotations in the same schedule,
-    applied one pivot at a time by scalar row and column updates."""
-    hermitian = np.iscomplexobj(a)
-    n = a.shape[0]
-    work = a.copy()
-    acc = np.eye(n, dtype=a.dtype)
-    norm = frobenius(a)
-    while off_diagonal_norm(work) > tol * norm:
-        for ps, qs in _round_robin(n):
-            for p, q in zip(ps.tolist(), qs.tolist()):
-                apq = work[p, q]
-                r = abs(apq)
-                if r < PIVOT_SKIP:
-                    continue
-                if hermitian:
-                    phase = apq / r
-                else:
-                    r, phase = apq, 1.0
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s / phase, c / phase]])
-                work[:, [p, q]] = work[:, [p, q]] @ rot
-                work[[p, q], :] = rot.conj().T @ work[[p, q], :]
-                work[p, q] = work[q, p] = 0.0
-                acc[:, [p, q]] = acc[:, [p, q]] @ rot
-    return np.diag(work).real, acc.conj().T
+def assert_matches(dec, values, rows, a, spectrum):
+    """Values to 1e-13 ||A||_F; each vector row to 1e-12 ||A||_F over the spectral gap."""
+    scale = frobenius(a)
+    assert np.max(np.abs(dec.values - values)) <= 1e-13 * scale
+    gap = np.min(np.diff(spectrum), initial=np.inf)
+    if gap > 0.0:
+        overlap = np.abs(dec.vectors @ rows.conj().T)
+        assert np.max(np.abs(overlap - np.eye(len(values)))) <= 1e-12 * scale / gap
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["generic", "clustered", "repeated"]),
+    st.sampled_from([symmetric_eigen, hermitian_eigen]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_matches_mpmath(n, spectrum, solver, seed):
+    """Values and vectors agree with mpmath's eigsy/eighe at 40 digits,
+    including spectra clustered to 1e-9 and spectra with repeated values."""
+    rng = np.random.default_rng(seed)
+    a, designed = self_adjoint(rng, n, spectrum, solver is symmetric_eigen)
+    with mpmath.workdps(40):
+        if solver is symmetric_eigen:
+            e, q = mpmath.eigsy(mpmath.matrix(a))
+        else:
+            e, q = mpmath.eighe(mpmath.matrix(a))
+        values = np.array(e.tolist(), dtype=float).ravel()
+        rows = np.array(q.T.conjugate().tolist(), dtype=a.dtype)
+    order = np.argsort(values)
+    assert_matches(solver(a), values[order], rows[order], a, designed)
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
+    st.sampled_from(["gapped", "clustered", "repeated"]),
     st.sampled_from([symmetric_eigen, hermitian_eigen]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_round_product_matches_one_pivot_at_a_time(n, solver, seed):
-    """The pivots of a round share no row or column, so applying a round as
-    one product reproduces its rotations applied one by one, to rounding."""
+def test_matches_cyclic_jacobi(n, spectrum, solver, seed):
+    """Values and vectors agree with the scalar cyclic Jacobi oracle."""
     rng = np.random.default_rng(seed)
-    spectrum = np.cumsum(rng.uniform(0.1, 2.0, size=n)) - rng.uniform(0.0, n)
-    if solver is symmetric_eigen:
-        q = random_orthogonal(rng, n)
-    else:
-        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-    a = q.conj().T @ np.diag(spectrum) @ q
-    a = 0.5 * (a + a.conj().T)
-    dec = solver(a)
-    values, rows = one_pivot_at_a_time(a)
-    order = np.argsort(values)
-    scale = frobenius(a)
-    gap = np.min(np.diff(spectrum), initial=np.inf)
-    assert np.max(np.abs(dec.values - values[order])) <= 1e-13 * scale
-    overlap = np.abs(dec.vectors @ rows[order].conj().T)
-    assert np.max(np.abs(overlap - np.eye(n))) <= 1e-12 * scale / gap
+    a, designed = self_adjoint(rng, n, spectrum, solver is symmetric_eigen)
+    values, rows = jacobi_eigen(a)
+    assert_matches(solver(a), values, rows, a, designed)

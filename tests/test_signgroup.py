@@ -25,6 +25,7 @@ from signflip.linalg import (
     frobenius,
     is_diagonal,
     is_symmetric,
+    off_diagonal_norm,
     symmetric_eigen,
 )
 from signflip.signgroup import (
@@ -434,6 +435,32 @@ class TestBeyondTheFloatRange:
                 report(self.SHEAR)
 
 
+    # asymmetric, with ||A||_F beyond the float range
+    EDGE = 1.7e308 * np.array([[0.0, 1.0], [1.0, 0.0]]) + 1e302 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def test_default_tolerance_is_finite(self):
+        assert default_tolerance(self.EDGE) == pytest.approx(1e-8 * math.sqrt(2.0) * 1.7e308, rel=1e-12)
+
+    def test_asymmetric_beyond_norm_range_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not commutes_with_sign_group(self.EDGE)
+            assert not commutes_with_sign_group(self.EDGE, exhaustive=True)
+            assert not is_equivariant(self.EDGE, np.eye(2))
+            result = symmetry_via_equivariance(self.EDGE)
+        assert not result.verdict
+        assert result.max_commutator == pytest.approx(2.0 * math.sqrt(2.0) * 1e302, rel=1e-6)
+        assert result.tol == default_tolerance(self.EDGE)
+
+    def test_symmetric_near_float_range_accepted(self):
+        exchange = 1.7e308 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = symmetry_via_equivariance(exchange)
+        assert result.verdict
+        assert np.array_equal(result.basis, symmetry_via_equivariance(exchange / 1.7e308).basis)
+
+
 class TestNormalityViaEquivariance:
     def test_hermitian_default_basis(self):
         rng = np.random.default_rng(27)
@@ -509,7 +536,7 @@ def test_closed_form_commutators_match_element_products(n, seed):
     a = rng.normal(size=(n, n))
     if rng.integers(2):
         a = v.T @ np.diag(rng.normal(size=n)) @ v + 10.0 ** rng.uniform(-12, 0) * a
-    norms, k = _flip_commutators(a, v, _flip_masks(n, True))
+    norms, _, k = _flip_commutators(a, v, _flip_masks(n, True))
     closed = np.ldexp(norms, k)
     explicit = [commutator_norm(e.matrix, a) for e in enumerate_group(v)]
     assert np.max(np.abs(closed - explicit)) <= 1e-10 * frobenius(a)
@@ -542,3 +569,38 @@ def test_verdicts_do_not_depend_on_scale(n, seed, kind, k):
         assert commutes_with_sign_group(scaled, exhaustive=exhaustive) == commutes_with_sign_group(
             a, exhaustive=exhaustive
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.0, 1e-9, 1e-4, 1.0]),
+    st.integers(min_value=-900, max_value=900),
+)
+def test_commutator_identity(n, seed, skew, k):
+    """sum_i ||[g_i, A]||_F^2 = 2 ||A - A^T||_F^2 + 8 ||off(V S V^T)||_F^2 for
+    the generators g_i on the eigenbasis V of S = (A + A^T) / 2; it needs no
+    eigensolver to hold, so it checks the basis the solver returns."""
+    rng = np.random.default_rng(seed)
+    a = np.ldexp(random_symmetric(rng, n) + skew * rng.normal(size=(n, n)), k)
+    unit = np.ldexp(a, -int(np.frexp(np.max(np.abs(a)))[1]))
+    s = 0.5 * (unit + unit.T)
+    v = symmetric_eigen(s).vectors
+    norms, _, e = _flip_commutators(a, v, _flip_masks(n, False))
+    lhs = float(np.sum(norms**2))
+    rhs = 2.0 * frobenius(unit - unit.T) ** 2 + 8.0 * off_diagonal_norm(v @ s @ v.T) ** 2
+    assert np.array_equal(np.ldexp(unit, e), a)
+    assert abs(lhs - rhs) <= 1e-12 * frobenius(unit) * (math.sqrt(lhs) + math.sqrt(rhs))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_element_sum_is_generator_sum_times_2_to_n_minus_2(n):
+    """Over all 2^n elements the squared commutator norms sum to 2^(n-2)
+    times their sum over the n generators."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    v = random_orthogonal(rng, n)
+    every, _, _ = _flip_commutators(a, v, _flip_masks(n, True))
+    generators, _, _ = _flip_commutators(a, v, _flip_masks(n, False))
+    assert np.sum(every**2) == pytest.approx(2.0 ** (n - 2) * np.sum(generators**2), rel=1e-12)
