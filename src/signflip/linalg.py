@@ -1,10 +1,10 @@
 """Dense real/complex matrix predicates and the self-adjoint eigensolvers.
 
-Matrices are plain square numpy arrays (float64 or complex128).  Both
-:func:`symmetric_eigen` and :func:`hermitian_eigen` hand the eigensolve to
-LAPACK through ``np.linalg.eigh``.  Input is first scaled exactly by a power
-of two, so its norm cannot overflow and ``2**k * A`` reaches LAPACK as
-bitwise the same matrix.
+Matrices are square float64 or complex128 arrays.  :func:`_unit_scale` scales
+one exactly by a power of two, so its sums cannot overflow and ``2**k * A``
+becomes bitwise the same matrix.  The LAPACK core :func:`_eigh` solves it;
+:func:`symmetric_eigen` and :func:`hermitian_eigen` add the self-adjoint check,
+``residual``, ``orthogonality`` and the values scaled back, which verdicts skip.
 
 The eigensolvers follow one fixed convention throughout the package: the
 returned ``vectors`` array stores unit eigenvectors in its *rows*, so that
@@ -91,6 +91,12 @@ def _times_power_of_two(m, e: int):
     return m * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
 
 
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(m * 2**-e, e)`` with the largest real or imaginary part of the result in ``[1/2, 1)``."""
+    e = _exponent(m)
+    return _times_power_of_two(m, -e), e
+
+
 def frobenius(a) -> float:
     """Frobenius norm, free of overflow and underflow in the sum of squares."""
     m = np.asarray(a)
@@ -103,8 +109,7 @@ def frobenius(a) -> float:
         return norm
     # The squares overflowed or lost digits to underflow: sum them again on
     # the matrix brought to unit scale, which is exact.
-    e = _exponent(m)
-    unit = _times_power_of_two(m, -e)
+    unit, e = _unit_scale(m)
     return _times_power_of_two(math.sqrt(np.vdot(unit, unit).real), e)
 
 
@@ -133,19 +138,19 @@ def is_diagonal(b, tol: float) -> bool:
 
 
 def is_symmetric(a, tol: float) -> bool:
-    """True iff ``max |a_ij - a_ji| <= tol``."""
-    m = as_matrix(a, name="a")
+    """True iff ``max |a_ij - a_ji| <= tol``, compared at unit scale so the difference cannot overflow."""
+    unit, e = _unit_scale(as_matrix(a, name="a"))
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    return bool(np.max(np.abs(m - m.T)) <= tol)
+    return bool(np.max(np.abs(unit - unit.T)) <= _times_power_of_two(tol, -e))
 
 
 def is_hermitian(a, tol: float) -> bool:
-    """True iff ``||a - a*||_F <= tol``."""
-    m = as_matrix(a, name="a")
+    """True iff ``||a - a*||_F <= tol``, compared at unit scale so the difference cannot overflow."""
+    unit, e = _unit_scale(as_matrix(a, name="a"))
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    return frobenius(m - m.conj().T) <= tol
+    return frobenius(unit - unit.conj().T) <= _times_power_of_two(tol, -e)
 
 
 def is_orthogonal(v, tol: float) -> bool:
@@ -196,20 +201,13 @@ class EigenDecomposition:
         return len(self.values)
 
 
-def _prepare(a: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Check the size guard and bring ``a`` to unit scale.
-
-    Returns ``a * 2**-e`` with its largest part in ``[1/2, 1)``, the exponent
-    ``e`` and the scaled matrix's norm.  Power-of-two scaling is exact, so the
-    norm cannot overflow and ``2**k * a`` yields the same scaled matrix.
-    """
+def _prepare(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Check the size guard and bring ``a`` to unit scale with :func:`_unit_scale`."""
     if a.shape[0] > MAX_EIGEN_N:
         raise DimensionTooLargeError(
             f"eigensolver supports n <= {MAX_EIGEN_N}, got n = {a.shape[0]}"
         )
-    e = _exponent(a)
-    scaled = _times_power_of_two(a, -e)
-    return scaled, e, frobenius(scaled)
+    return _unit_scale(a)
 
 
 def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
@@ -222,18 +220,18 @@ def _normalize_row_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(pivot < 0.0, -1.0, 1.0)
 
 
-def _eigh(a: np.ndarray, e: int) -> EigenDecomposition:
-    """Solve the scaled ``a`` with LAPACK, normalize the rows, then undo the scale ``2**-e``.
-
-    Raises ``NoConvergenceError`` when LAPACK does not converge and
-    ``OverflowError`` when a value or the residual is too large to scale
-    back, rather than returning ``inf``.
-    """
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LAPACK core: ascending values and normalized eigenvector rows of the prepared ``a``."""
     try:
         diag, columns = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigensolver: {exc}") from None
-    vectors = _normalize_row_signs(columns.conj().T)
+    return diag, _normalize_row_signs(columns.conj().T)
+
+
+def _decompose(a: np.ndarray, e: int) -> EigenDecomposition:
+    """:func:`_eigh` with its provenance, scaled back by ``2**e``; OverflowError, not ``inf``."""
+    diag, vectors = _eigh(a)
     residual = off_diagonal_norm(vectors @ a @ vectors.conj().T)
     with np.errstate(over="ignore"):
         values = _times_power_of_two(diag, e)
@@ -265,10 +263,10 @@ def symmetric_eigen(a) -> EigenDecomposition:
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
         OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
-    a, e, norm_a = _prepare(as_real_matrix(a, name="a"))
-    if not is_symmetric(a, 1e-12 * norm_a):
+    a, e = _prepare(as_real_matrix(a, name="a"))
+    if not is_symmetric(a, 1e-12 * frobenius(a)):
         raise NotSymmetricError("input matrix is not symmetric")
-    return _eigh(a, e)
+    return _decompose(a, e)
 
 
 def hermitian_eigen(a) -> EigenDecomposition:
@@ -285,7 +283,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
         DimensionTooLargeError: if ``n`` exceeds ``MAX_EIGEN_N``.
         OverflowError: if an eigenvalue or the residual exceeds the float range.
     """
-    a, e, norm_a = _prepare(as_complex_matrix(a, name="a"))
-    if not is_hermitian(a, 1e-12 * norm_a):
+    a, e = _prepare(as_complex_matrix(a, name="a"))
+    if not is_hermitian(a, 1e-12 * frobenius(a)):
         raise NotHermitianError("input matrix is not Hermitian")
-    return _eigh(a, e)
+    return _decompose(a, e)

@@ -7,8 +7,10 @@ rows) yields an isomorphic group of symmetric involutions, generated by the
 single-flip reflections ``I - 2 v_i v_i^T``.  A real square matrix commutes
 with the whole conjugated group built from the eigenvector rows of its
 symmetric part exactly when the matrix is symmetric, which turns symmetry
-into a commutator test; the same construction over a unitary basis
-characterizes normality of complex matrices.
+into a commutator test; the same construction over a unitary basis, by
+default that of the Hermitian part, characterizes normality.  Each verdict
+validates its input, scales it by an exact power of two and forms its
+tolerance once, and takes its basis from the LAPACK core of ``linalg``.
 
 Two identities replace products of element matrices.  Write the element
 of the 0/1 flip mask ``a`` as ``g_a = I - 2 V* D_a V`` with ``D_a = diag(a)``.
@@ -40,13 +42,12 @@ from .linalg import (
     as_matrix,
     as_real_matrix,
     frobenius,
-    hermitian_eigen,
-    is_hermitian,
     is_orthogonal,
     is_unitary,
-    symmetric_eigen,
-    _exponent,
+    _eigh,
+    _prepare,
     _times_power_of_two,
+    _unit_scale,
 )
 
 ENUMERATION_CAP = 20
@@ -73,9 +74,18 @@ def default_tolerance(a) -> float:
     It is formed on ``A`` at unit scale, so it is finite wherever
     ``||A||_F`` alone would exceed the float range.
     """
-    m = np.asarray(a)
-    e = _exponent(m)
-    return _times_power_of_two(1e-8 * frobenius(_times_power_of_two(m, -e)), e)
+    _, e, unit_tol = _at_unit_scale(np.asarray(a), None)
+    return _times_power_of_two(unit_tol, e)
+
+
+def _at_unit_scale(m: np.ndarray, tol: float | None) -> tuple[np.ndarray, int, float]:
+    """``(2**-e A, e)`` and the tolerance at that scale; ValueError for a negative or NaN ``tol``."""
+    unit, e = _unit_scale(m)
+    if tol is None:
+        return unit, e, 1e-8 * frobenius(unit)
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
+    return unit, e, _times_power_of_two(float(tol), -e)
 
 
 @dataclass(frozen=True)
@@ -214,35 +224,30 @@ def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
 def _flip_masks(n: int, exhaustive: bool) -> np.ndarray:
     """0/1 rows marking the flipped signs of the elements an audit covers.
 
-    All ``2**n`` elements in :func:`enumerate_group` order (row ``k`` flips
-    the set bits of ``k``, bit 0 for the last sign), or the ``n`` generators.
+    All ``2**n`` elements in :func:`enumerate_group` order (row ``k`` flips the
+    set bits of ``k``, bit 0 for the last sign; n <= ``FULL_AUDIT_CAP``), or the ``n`` generators.
     """
     if not exhaustive:
         return np.eye(n)
+    _check_enumerable(n, FULL_AUDIT_CAP)
     k = np.arange(2**n)[:, None]
     return ((k >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
 
 
-def _flip_commutators(a: np.ndarray, basis: np.ndarray, masks: np.ndarray, tol: float | None = None):
-    """``||g A - A g||_F`` for the element ``g`` of each flip mask, as ``(norms, tol, e)``.
+def _flip_commutators(unit: np.ndarray, basis: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``||g U - U g||_F`` for the element ``g`` of each flip mask, with ``U = 2**-e A`` at unit scale.
 
     For orthonormal rows ``V`` the commutator is ``-2 V* (D B - B D) V`` with
-    ``B = V A V*`` and ``D`` the mask's diagonal, whose nonzero entries are
+    ``B = V U V*`` and ``D`` the mask's diagonal, whose nonzero entries are
     the ``B_ik`` with exactly one of ``i, k`` flipped.  The sum of their
-    squares has only non-negative terms, so it cannot cancel.  ``A`` is
-    first brought to unit scale by an exact power of two, so the squares
-    neither overflow nor underflow; the norms are those of ``2**-e A``, and
-    so is the returned tolerance: ``tol * 2**-e``, or the default tolerance
-    of ``2**-e A`` when ``tol`` is None.
+    squares has only non-negative terms, so it cannot cancel, and at unit
+    scale the squares neither overflow nor underflow.  The norms are those
+    of ``U``; the caller scales back the ones it reports.
     """
-    e = _exponent(a)
-    unit = _times_power_of_two(a, -e)
     b = basis @ unit @ basis.conj().T
     w = np.abs(b) ** 2
     w += w.T
-    across = np.sum((masks @ w) * (1.0 - masks), axis=1)
-    unit_tol = default_tolerance(unit) if tol is None else _times_power_of_two(float(tol), -e)
-    return 2.0 * np.sqrt(across), unit_tol, e
+    return 2.0 * np.sqrt(np.sum((masks @ w) * (1.0 - masks), axis=1))
 
 
 def _scale_back(x: float, e: int, what: str) -> float:
@@ -260,7 +265,7 @@ def max_generator_commutator(a, group: ConjugatedSignGroup) -> float:
         raise DimensionMismatchError(
             f"matrix is {m.shape[0]}x{m.shape[0]} but group acts on dimension {group.n}"
         )
-    return _generator_check(m, group.basis, math.inf).max_commutator
+    return _generator_check(*_at_unit_scale(m, math.inf), group.basis, math.inf).max_commutator
 
 
 def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -274,13 +279,9 @@ def is_equivariant(a, v, tol: float | None = None, exhaustive: bool = False) -> 
     m = as_real_matrix(a, name="a")
     basis = as_real_matrix(v, name="basis")
     _check_basis(basis)
-    n = basis.shape[0]
-    if m.shape[0] != n:
-        raise DimensionMismatchError(f"matrix is {m.shape[0]}x{m.shape[0]} but basis is {n}x{n}")
-    if exhaustive:
-        _check_enumerable(n, FULL_AUDIT_CAP)
-    norms, unit_tol, _ = _flip_commutators(m, basis, _flip_masks(n, exhaustive), tol)
-    return bool(np.all(norms <= unit_tol))
+    if len(m) != len(basis):
+        raise DimensionMismatchError(f"matrix is {len(m)}x{len(m)} but basis is {len(basis)}x{len(basis)}")
+    return _commutes(m, basis, tol, exhaustive)
 
 
 def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = False) -> bool:
@@ -290,7 +291,13 @@ def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = Fal
     sign matrices, i.e. the conjugated group on the identity basis.
     """
     m = as_real_matrix(b, name="b")
-    return is_equivariant(m, np.eye(m.shape[0]), tol, exhaustive)
+    return _commutes(m, np.eye(m.shape[0]), tol, exhaustive)
+
+
+def _commutes(m: np.ndarray, basis: np.ndarray, tol: float | None, exhaustive: bool) -> bool:
+    """Whether the validated ``m`` commutes with the generators, or every element, on ``basis``."""
+    unit, _, unit_tol = _at_unit_scale(m, tol)
+    return bool(np.all(_flip_commutators(unit, basis, _flip_masks(len(basis), exhaustive)) <= unit_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,9 +317,9 @@ class EquivarianceCheck:
     worst_generator: int
 
 
-def _generator_check(m: np.ndarray, basis: np.ndarray, tol: float | None) -> EquivarianceCheck:
-    """Generator commutators against ``tol`` at unit scale; OverflowError, not ``inf``."""
-    norms, unit_tol, e = _flip_commutators(m, basis, _flip_masks(basis.shape[0], False), tol)
+def _generator_check(unit, e: int, unit_tol: float, basis, tol: float | None) -> EquivarianceCheck:
+    """Generator commutators of ``unit = 2**-e A`` against ``unit_tol``; OverflowError, not ``inf``."""
+    norms = _flip_commutators(unit, basis, _flip_masks(basis.shape[0], False))
     worst = int(np.argmax(norms))
     largest = _scale_back(norms[worst], e, "a commutator norm")
     if tol is None:
@@ -325,39 +332,38 @@ def symmetry_via_equivariance(a, tol: float | None = None) -> EquivarianceCheck:
 
     The basis is the eigenvector-row matrix of the symmetric part
     ``(A + A^T)/2``; ``A`` commutes with the resulting group exactly when
-    ``A`` is symmetric.
+    ``A`` is symmetric.  ``A`` is validated and brought to unit scale once.
     """
-    m = as_real_matrix(a, name="a")
-    # at unit scale the sum m + m^T cannot overflow; the eigensolver scales
-    # its input by a power of two anyway, so the basis is unchanged
-    unit = _times_power_of_two(m, -_exponent(m))
-    return _generator_check(m, symmetric_eigen(0.5 * (unit + unit.T)).vectors, tol)
+    unit, e, unit_tol = _at_unit_scale(as_real_matrix(a, name="a"), tol)
+    _, basis = _eigh(_prepare(0.5 * (unit + unit.T))[0])
+    return _generator_check(unit, e, unit_tol, basis, tol)
 
 
 def normality_via_equivariance(a, w=None, tol: float | None = None) -> EquivarianceCheck:
     """Decide normality of complex ``A`` by commutation with ``I - 2 w_i* w_i^T``.
 
     ``w`` must be unitary with rows forming the basis; when omitted, ``A``
-    must be Hermitian and its own eigenvector rows are used.  ``A`` commutes
+    must pass one Hermitian check, ``||A - A*||_F <= tol``, and the basis is
+    the eigenvector rows of its Hermitian part ``(A + A*)/2``.  ``A`` commutes
     with all ``n`` reflections exactly when ``A`` is normal with eigenvectors
     ``w_i``.
     """
-    m = as_complex_matrix(a, name="a")
+    unit, e, unit_tol = _at_unit_scale(as_complex_matrix(a, name="a"), tol)
     if w is None:
-        if not is_hermitian(m, default_tolerance(m) if tol is None else tol):
+        if not frobenius(unit - unit.conj().T) <= unit_tol:
             raise NotHermitianError(
                 "no basis given and the matrix is not Hermitian; pass w explicitly"
             )
-        basis = hermitian_eigen(m).vectors
+        _, basis = _eigh(_prepare(0.5 * (unit + unit.conj().T))[0])
     else:
         basis = as_complex_matrix(w, name="w")
-        if basis.shape[0] != m.shape[0]:
+        if basis.shape[0] != unit.shape[0]:
             raise DimensionMismatchError(
-                f"matrix is {m.shape[0]}x{m.shape[0]} but basis is {basis.shape[0]}x{basis.shape[0]}"
+                f"matrix is {unit.shape[0]}x{unit.shape[0]} but basis is {basis.shape[0]}x{basis.shape[0]}"
             )
         if not is_unitary(basis, BASIS_TOL):
             raise NotUnitaryError(f"basis rows are not unitary within {BASIS_TOL:g}")
-    return _generator_check(m, basis, tol)
+    return _generator_check(unit, e, unit_tol, basis, tol)
 
 
 @dataclass(frozen=True)
@@ -401,10 +407,6 @@ def group_properties_check(
     n = group.n
     if exhaustive is None:
         exhaustive = n <= FULL_AUDIT_CAP
-    if exhaustive and n > FULL_AUDIT_CAP:
-        raise DimensionTooLargeError(
-            f"exhaustive audit refuses n > {FULL_AUDIT_CAP}, got n = {n}"
-        )
 
     v = group.basis
     gram = v @ v.conj().T

@@ -22,7 +22,7 @@ def traced_run(workload):
 
 
 def test_symmetry_decide_traced_run():
-    assert traced_run("symmetry-decide")["linalg.symmetric_eigen.calls"]["value"] > 0
+    assert traced_run("symmetry-decide")["signgroup.symmetry_via_equivariance.calls"]["value"] > 0
 
 
 def test_stencil_order_traced_run():

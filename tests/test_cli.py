@@ -154,6 +154,15 @@ class TestCheck:
         assert err.startswith("error:") and "complex" in err
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_exits_2(self, capsys, tmp_path, tol):
+        path = tmp_path / "identity.txt"
+        write_matrix(path, np.eye(2))
+        code, out, err = run(capsys, "check", str(path), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "tol must be non-negative" in err
+
 
 class TestGroup:
     def test_generators_default(self, capsys, hessian_file):

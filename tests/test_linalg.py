@@ -113,6 +113,16 @@ class TestPredicates:
         with pytest.raises(ValueError):
             predicate(np.eye(2), -1e-3)
 
+    @pytest.mark.parametrize("predicate", [is_symmetric, is_hermitian])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_difference_beyond_float_range_without_warnings(self, predicate, dtype):
+        # the difference A - A^T of this matrix overflows unless it is taken at unit scale
+        skew = 1.7e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not predicate(skew, 1e300)
+            assert predicate(skew + skew.T, 0.0)
+
 
 def characteristic_roots_3x3(a):
     """Eigenvalues of a 3x3 matrix from its characteristic polynomial."""

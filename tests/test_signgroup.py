@@ -17,6 +17,7 @@ from conftest import (
     random_symmetric,
     reference_hessian,
 )
+from signflip import linalg
 from signflip.linalg import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -27,6 +28,7 @@ from signflip.linalg import (
     is_symmetric,
     off_diagonal_norm,
     symmetric_eigen,
+    _unit_scale,
 )
 from signflip.signgroup import (
     NotOrthogonalError,
@@ -512,6 +514,77 @@ class TestNormalityViaEquivariance:
                 np.eye(2, dtype=complex), w=np.array([[1.0, 1.0], [0.0, 1.0]])
             )
 
+    def test_hermitian_near_float_range_accepted(self):
+        # its eigenvalue 2e308 exceeds the float range, but the verdict
+        # needs only the eigenvectors
+        a = 1e308 * np.array([[1.0, 1j], [-1j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = normality_via_equivariance(a)
+        assert result.verdict
+        assert np.array_equal(result.basis, normality_via_equivariance(a / 1e308).basis)
+
+    @pytest.mark.parametrize("relative", [1e-11, 1e-9])
+    def test_nearly_hermitian_within_tolerance_accepted(self, relative):
+        # one Hermitian check, at the verdict's tolerance 1e-8 ||A||_F
+        rng = np.random.default_rng(29)
+        h = random_hermitian(rng, 6)
+        e = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a = h + relative * frobenius(h) * e / frobenius(e)
+        result = normality_via_equivariance(a)
+        assert result.verdict
+        assert result.max_commutator <= 0.5 * result.tol
+
+    def test_antihermitian_near_float_range_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                normality_via_equivariance(1.7e308 * np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+
+
+class TestToleranceValidated:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize(
+        "verdict",
+        [
+            symmetry_via_equivariance,
+            normality_via_equivariance,
+            lambda a, tol: normality_via_equivariance(a, np.eye(2), tol),
+            lambda a, tol: is_equivariant(a, np.eye(2), tol),
+            lambda a, tol: is_equivariant(a, np.eye(2), tol, exhaustive=True),
+            commutes_with_sign_group,
+            lambda a, tol: commutes_with_sign_group(a, tol, exhaustive=True),
+        ],
+        ids=["symmetry", "normality", "normality-w", "equivariant", "equivariant-all", "commutes", "commutes-all"],
+    )
+    def test_negative_or_nan_rejected(self, verdict, tol):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            verdict(np.eye(2), tol=tol)
+
+    def test_zero_and_infinite_accepted(self):
+        assert symmetry_via_equivariance(np.eye(2), tol=0.0).verdict
+        assert commutes_with_sign_group(np.eye(2), tol=math.inf)
+
+
+def test_symmetry_verdict_is_one_pass(monkeypatch):
+    """One symmetry verdict validates its input once and takes the binary
+    exponent only of A and of the symmetric part that reaches LAPACK."""
+    calls = {"as_matrix": 0, "_exponent": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    a = np.random.default_rng(30).normal(size=(6, 6))
+    for matrix in (a, 0.5 * (a + a.T)):
+        calls.update(dict.fromkeys(calls, 0))
+        symmetry_via_equivariance(matrix)
+        assert calls["as_matrix"] == 1
+        assert calls["_exponent"] <= 2
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
@@ -536,8 +609,8 @@ def test_closed_form_commutators_match_element_products(n, seed):
     a = rng.normal(size=(n, n))
     if rng.integers(2):
         a = v.T @ np.diag(rng.normal(size=n)) @ v + 10.0 ** rng.uniform(-12, 0) * a
-    norms, _, k = _flip_commutators(a, v, _flip_masks(n, True))
-    closed = np.ldexp(norms, k)
+    unit, k = _unit_scale(a)
+    closed = np.ldexp(_flip_commutators(unit, v, _flip_masks(n, True)), k)
     explicit = [commutator_norm(e.matrix, a) for e in enumerate_group(v)]
     assert np.max(np.abs(closed - explicit)) <= 1e-10 * frobenius(a)
 
@@ -584,10 +657,10 @@ def test_commutator_identity(n, seed, skew, k):
     eigensolver to hold, so it checks the basis the solver returns."""
     rng = np.random.default_rng(seed)
     a = np.ldexp(random_symmetric(rng, n) + skew * rng.normal(size=(n, n)), k)
-    unit = np.ldexp(a, -int(np.frexp(np.max(np.abs(a)))[1]))
+    unit, e = _unit_scale(a)
     s = 0.5 * (unit + unit.T)
     v = symmetric_eigen(s).vectors
-    norms, _, e = _flip_commutators(a, v, _flip_masks(n, False))
+    norms = _flip_commutators(unit, v, _flip_masks(n, False))
     lhs = float(np.sum(norms**2))
     rhs = 2.0 * frobenius(unit - unit.T) ** 2 + 8.0 * off_diagonal_norm(v @ s @ v.T) ** 2
     assert np.array_equal(np.ldexp(unit, e), a)
@@ -601,6 +674,6 @@ def test_element_sum_is_generator_sum_times_2_to_n_minus_2(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     v = random_orthogonal(rng, n)
-    every, _, _ = _flip_commutators(a, v, _flip_masks(n, True))
-    generators, _, _ = _flip_commutators(a, v, _flip_masks(n, False))
+    every = _flip_commutators(a, v, _flip_masks(n, True))
+    generators = _flip_commutators(a, v, _flip_masks(n, False))
     assert np.sum(every**2) == pytest.approx(2.0 ** (n - 2) * np.sum(generators**2), rel=1e-12)
