@@ -13,12 +13,12 @@ The grammar (whitespace-insensitive):
 means ``-(x1^2)``.  Parentheses, calls, minus signs and ``^`` may nest at
 most ``MAX_NESTING`` deep.
 
-Each Expression is lowered once, without recursion, into a postfix tape,
-where ``^`` with a number as exponent is one power instruction; the tape is
-what an Expression compares and hashes by.  A single operand-stack loop runs
-the tape over four kinds of operand: one float per variable (``evaluate``),
-one NumPy column of points per variable (``evaluate_points``), hyper-dual
-lanes (``gradient`` and ``hessian``), or infix text (``to_string``).
+``parse`` emits a postfix tape in one lazy scan of the text, with no token
+list or tree; ``^`` by a number is one power instruction.  An Expression is
+its tape and compares and hashes by it.  One operand-stack loop runs the
+tape over five kinds of operand: a float or a NumPy column of points per
+variable (``evaluate``, ``evaluate_points``), hyper-dual lanes (``gradient``,
+``hessian``), infix text (``to_string``) or tree nodes (``root``).
 A hyper-dual number carries a value, first partials d1 and d2 along two
 seeded directions and the mixed partial d12; the Hessian runs its n(n+1)/2
 index pairs as lanes of one pass, each exact to roundoff.  Transcendental
@@ -35,8 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,22 +92,26 @@ class Call:
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Expression:
-    """Parsed scalar function of ``n_vars`` variables.
+    """Scalar function of ``n_vars`` variables, held as its postfix tape.
 
-    ``root`` is the parser's AST and ``tape`` its postfix program, lowered
-    once here.  The tape decodes to one AST only, so equality and hashing
-    use ``(n_vars, tape)``; ``str`` prints the tape and ``repr`` is the
-    ``parse`` call that rebuilds the expression.
+    ``parse`` emits the tape directly; ``Expression(root, n_vars)`` lowers a
+    hand-built AST into one.  The tape decodes to one AST only, so equality
+    and hashing use ``(n_vars, tape)`` and ``root`` is that AST, decoded on
+    demand.  ``str`` prints the tape and ``repr`` is the ``parse`` call that
+    rebuilds the expression.
     """
 
-    root: object = field(compare=False, repr=False)
     n_vars: int
-    tape: tuple = field(init=False)
+    tape: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "tape", _lower(self.root))
+    def __init__(self, root, n_vars: int):
+        vars(self).update(n_vars=n_vars, tape=_lower(root))  # frozen: set the fields directly
+
+    @property
+    def root(self):
+        return _run(self.tape, [Var(k + 1) for k in range(self.n_vars)], _Tree)
 
     def __str__(self) -> str:
         return to_string(self)
@@ -119,143 +122,131 @@ class Expression:
 
 _TOKEN_RE = re.compile(
     r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<var>x[1-9][0-9]*(?![A-Za-z0-9]))"
     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<space>\s+)"
-    r"|(?P<error>.)",
+    r"|(?P<error>.)"
+    r"|(?P<end>\Z)",
     re.DOTALL,
 )
-_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
 
 
-class _Token(NamedTuple):
-    kind: str  # number | var | func | op | end
-    text: str
-    position: int
-    value: float | int | None = None
-
-
-def _tokenize(text: str, n_vars: int) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, word, pos = m.lastgroup, m.group(), m.start()
-        if kind == "space":
-            continue
-        if kind == "number":
-            tokens.append(_Token("number", word, pos, float(word)))
-        elif kind == "op":
-            tokens.append(_Token("op", word, pos))
-        elif kind == "error":
-            raise ParseError(f"unexpected character {word!r}", pos)
-        else:
-            vm = _VAR_RE.match(word)
-            if vm:
-                index = int(vm.group(1))
-                if index > n_vars:
-                    raise VarIndexError(
-                        f"variable {word} out of range for n = {n_vars}", pos
-                    )
-                tokens.append(_Token("var", word, pos, index))
-            elif word in FUNCTION_NAMES:
-                tokens.append(_Token("func", word, pos))
-            else:
-                raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, got {tok.text or 'end of input'!r}", tok.position)
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def nested(self, rule, position: int):
-        """Parse ``rule`` one level deeper, refusing to pass MAX_NESTING."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
-        node = rule()
-        self.depth -= 1
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.next().text
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.next().text
-            node = Binary(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.at_op("-"):
-            return Neg(self.nested(self.unary, self.next().position))
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.at_op("^"):
-            return Binary("^", base, self.nested(self.unary, self.next().position))
-        return base
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "number":
-            return Number(tok.value)
-        if tok.kind == "var":
-            return Var(tok.value)
-        if tok.kind == "func":
-            self.expect_op("(")
-            inner = self.nested(self.expr, tok.position)
-            self.expect_op(")")
-            return Call(tok.text, inner)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.nested(self.expr, tok.position)
-            self.expect_op(")")
-            return inner
-        raise ParseError(
-            f"expected a number, variable, function or '(', got {tok.text or 'end of input'!r}",
-            tok.position,
-        )
-
-
 def parse(text: str, n_vars: int) -> Expression:
-    """Parse ``text`` into an Expression over x1..x{n_vars}."""
+    """Parse ``text`` into an Expression over x1..x{n_vars}.
+
+    One recursive-descent pass over a lazy scan emits the postfix tape.  A
+    lexical error (an unknown character or identifier, a variable past
+    x{n_vars}) raises where the scan meets it; a syntax error first scans
+    on, so the first lexical error in the whole text always wins.
+    """
     if not isinstance(n_vars, int) or n_vars < 1:
         raise ValueError(f"n_vars must be a positive integer, got {n_vars!r}")
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text, n_vars))
-    root = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.position)
-    del parser  # free the tokens first: holding them while lowering raises peak memory
-    return Expression(root, n_vars)
+    scan = _TOKEN_RE.finditer(text)
+    tape = []
+    emit = tape.append
+    kind = word = None  # the next token; an operator's kind is its character
+    pos = depth = 0
+
+    def advance():
+        nonlocal kind, word, pos
+        m = next(scan)
+        if m.lastgroup == "space":  # greedy, so never two in a row
+            m = next(scan)
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "op":
+            kind = word
+        elif kind == "var" and int(word[1:]) > n_vars:
+            raise VarIndexError(f"variable {word} out of range for n = {n_vars}", pos)
+        elif kind == "name" and word not in FUNCTION_NAMES:
+            raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
+        elif kind == "error":
+            raise ParseError(f"unexpected character {word!r}", pos)
+
+    def fail(message: str, position: int):
+        while kind != "end":
+            advance()  # raises the first lexical error after the current token
+        raise ParseError(message, position)
+
+    def expect(op: str):
+        if kind != op:
+            fail(f"expected {op!r}, got {word or 'end of input'!r}", pos)
+        advance()
+
+    def nested(rule, position: int):
+        """``rule`` one level deeper, refusing to pass MAX_NESTING."""
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            fail(f"nesting deeper than {MAX_NESTING} levels", position)
+        rule()
+        depth -= 1
+
+    def expr():
+        term()
+        while kind == "+" or kind == "-":
+            op = _BINARY[kind]
+            advance()
+            term()
+            emit((op, None))
+
+    def term():
+        unary()
+        while kind == "*" or kind == "/":
+            op = _BINARY[kind]
+            advance()
+            unary()
+            emit((op, None))
+
+    def unary():  # also power := atom ("^" unary)?
+        if kind == "-":
+            at = pos
+            advance()
+            nested(unary, at)
+            emit((_NEG, None))
+            return
+        atom()
+        if kind == "^":
+            at, start = pos, len(tape)
+            advance()
+            nested(unary, at)
+            if len(tape) == start + 1 and tape[start][0] == _CONST:
+                tape[start] = (_POWK, tape[start][1])  # ^ by a number
+            else:
+                emit((_POW, None))
+
+    def atom():
+        if kind == "number":
+            emit((_CONST, float(word)))
+            advance()
+        elif kind == "var":
+            emit((_VAR, int(word[1:]) - 1))
+            advance()
+        elif kind == "name" or kind == "(":
+            name, at = word, pos
+            advance()
+            if name != "(":
+                expect("(")
+            nested(expr, at)
+            expect(")")
+            if name != "(":
+                emit((_FUNC, name))
+        else:
+            fail(f"expected a number, variable, function or '(', got {word or 'end of input'!r}", pos)
+
+    try:
+        advance()
+        expr()
+        if kind != "end":
+            fail(f"unexpected trailing input {word!r}", pos)
+    finally:
+        del unary  # every cycle among the closures runs through it: free them and the list now
+    e = object.__new__(Expression)
+    vars(e).update(n_vars=n_vars, tape=tuple(tape))  # frozen, and no tree to lower
+    return e
 
 
 # Opcodes.  Unary instructions (below _ADD) act on the top of the stack,
@@ -312,6 +303,15 @@ def _run(tape, leaves, algebra):
             right = pop()
             push(ops[op](pop(), right, arg))
     return pop()
+
+
+class _Tree:
+    """AST nodes, for decoding a tape into the one tree it encodes."""
+
+    const = Number
+    ops = (None, None, lambda a, _: Neg(a), lambda a, name: Call(name, a),
+           lambda a, c: Binary("^", a, Number(c)),
+           *(lambda a, b, _, op=op: Binary(op, a, b) for op in _BINARY))
 
 
 def _raise_if(bad, values, message: str) -> None:

@@ -128,11 +128,16 @@ def commutator_norm(a, b) -> float:
     return frobenius(ma @ mb - mb @ ma)
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless ``tol >= 0``, which a NaN fails too."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
+
+
 def is_diagonal(b, tol: float) -> bool:
     """True iff every off-diagonal entry of ``b`` has magnitude at most ``tol``."""
     m = as_matrix(b, name="b")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     off = m - np.diag(np.diag(m))
     return bool(np.max(np.abs(off)) <= tol)
 
@@ -140,24 +145,21 @@ def is_diagonal(b, tol: float) -> bool:
 def is_symmetric(a, tol: float) -> bool:
     """True iff ``max |a_ij - a_ji| <= tol``, compared at unit scale so the difference cannot overflow."""
     unit, e = _unit_scale(as_matrix(a, name="a"))
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     return bool(np.max(np.abs(unit - unit.T)) <= _times_power_of_two(tol, -e))
 
 
 def is_hermitian(a, tol: float) -> bool:
     """True iff ``||a - a*||_F <= tol``, compared at unit scale so the difference cannot overflow."""
     unit, e = _unit_scale(as_matrix(a, name="a"))
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     return frobenius(unit - unit.conj().T) <= _times_power_of_two(tol, -e)
 
 
 def is_orthogonal(v, tol: float) -> bool:
     """True iff ``||v v^T - I||_F <= tol`` (real transpose)."""
     m = as_real_matrix(v, name="v")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     n = m.shape[0]
     return frobenius(m @ m.T - np.eye(n)) <= tol
 
@@ -165,18 +167,16 @@ def is_orthogonal(v, tol: float) -> bool:
 def is_unitary(w, tol: float) -> bool:
     """True iff ``||w w* - I||_F <= tol``; reduces to orthogonality for real input."""
     m = as_matrix(w, name="w")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     n = m.shape[0]
     return frobenius(m @ m.conj().T - np.eye(n)) <= tol
 
 
 def is_normal(a, tol: float) -> bool:
-    """True iff ``||a a* - a* a||_F <= tol``."""
-    m = as_complex_matrix(a, name="a")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return frobenius(m @ m.conj().T - m.conj().T @ m) <= tol
+    """True iff ``||a a* - a* a||_F <= tol``, compared at unit scale so the products cannot overflow."""
+    unit, e = _unit_scale(as_complex_matrix(a, name="a"))
+    _check_tol(tol)
+    return frobenius(unit @ unit.conj().T - unit.conj().T @ unit) <= _times_power_of_two(_times_power_of_two(tol, -e), -e)
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,6 +44,7 @@ from .linalg import (
     frobenius,
     is_orthogonal,
     is_unitary,
+    _check_tol,
     _eigh,
     _prepare,
     _times_power_of_two,
@@ -83,8 +84,7 @@ def _at_unit_scale(m: np.ndarray, tol: float | None) -> tuple[np.ndarray, int, f
     unit, e = _unit_scale(m)
     if tol is None:
         return unit, e, 1e-8 * frobenius(unit)
-    if not tol >= 0:
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
+    _check_tol(tol)
     return unit, e, _times_power_of_two(float(tol), -e)
 
 

@@ -1,11 +1,26 @@
-"""Shared reference data, random-matrix builders, derivative oracles and the printer oracle."""
+"""Shared reference data, random-matrix builders, and the derivative, printer and parser oracles."""
 
 import itertools
 import math
+import re
+from typing import NamedTuple
 
 import numpy as np
 
-from signflip.expr import Binary, Call, DomainError, Neg, Number, Var, evaluate
+from signflip.expr import (
+    FUNCTION_NAMES,
+    MAX_NESTING,
+    Binary,
+    Call,
+    DomainError,
+    Neg,
+    Number,
+    ParseError,
+    UnknownIdentifierError,
+    Var,
+    VarIndexError,
+    evaluate,
+)
 
 # Worked configuration reproduced throughout the suite: a three-variable
 # function whose Hessian at (1,1,1) has the closed form below, plus the
@@ -362,6 +377,148 @@ def render(node) -> str:
     if op in "+-":
         return f"{left} {op} {right}"
     return f"{left}{op}{right}"
+
+
+# The two-pass parser the package used before ``parse`` emitted the tape
+# directly: a token list of the whole text, then a recursive descent that
+# builds the tree.  It is the oracle for ``parse``: the same errors, messages
+# and positions, ``oracle_root`` equal to ``parse(...).root``, and
+# ``_lower(oracle_root(...))`` equal to ``parse(...).tape``.
+_TOKEN_RE = re.compile(
+    r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
+_VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
+
+
+class _Token(NamedTuple):
+    kind: str  # number | var | func | op | end
+    text: str
+    position: int
+    value: float | int | None = None
+
+
+def _tokenize(text: str, n_vars: int) -> list[_Token]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "space":
+            continue
+        if kind == "number":
+            tokens.append(_Token("number", word, pos, float(word)))
+        elif kind == "op":
+            tokens.append(_Token("op", word, pos))
+        elif kind == "error":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        else:
+            vm = _VAR_RE.match(word)
+            if vm:
+                index = int(vm.group(1))
+                if index > n_vars:
+                    raise VarIndexError(
+                        f"variable {word} out of range for n = {n_vars}", pos
+                    )
+                tokens.append(_Token("var", word, pos, index))
+            elif word in FUNCTION_NAMES:
+                tokens.append(_Token("func", word, pos))
+            else:
+                raise UnknownIdentifierError(f"unknown identifier {word!r}", pos)
+    tokens.append(_Token("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        tok = self.next()
+        if tok.kind != "op" or tok.text != op:
+            raise ParseError(f"expected {op!r}, got {tok.text or 'end of input'!r}", tok.position)
+
+    def at_op(self, *ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.text in ops
+
+    def nested(self, rule, position: int):
+        """Parse ``rule`` one level deeper, refusing to pass MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
+        node = rule()
+        self.depth -= 1
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.at_op("+", "-"):
+            op = self.next().text
+            node = Binary(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.unary()
+        while self.at_op("*", "/"):
+            op = self.next().text
+            node = Binary(op, node, self.unary())
+        return node
+
+    def unary(self):
+        if self.at_op("-"):
+            return Neg(self.nested(self.unary, self.next().position))
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.at_op("^"):
+            return Binary("^", base, self.nested(self.unary, self.next().position))
+        return base
+
+    def atom(self):
+        tok = self.next()
+        if tok.kind == "number":
+            return Number(tok.value)
+        if tok.kind == "var":
+            return Var(tok.value)
+        if tok.kind == "func":
+            self.expect_op("(")
+            inner = self.nested(self.expr, tok.position)
+            self.expect_op(")")
+            return Call(tok.text, inner)
+        if tok.kind == "op" and tok.text == "(":
+            inner = self.nested(self.expr, tok.position)
+            self.expect_op(")")
+            return inner
+        raise ParseError(
+            f"expected a number, variable, function or '(', got {tok.text or 'end of input'!r}",
+            tok.position,
+        )
+
+
+def oracle_root(text: str, n_vars: int):
+    """The tree of ``text``, by the two-pass parser; raises as ``parse`` does."""
+    if not text or not text.strip():
+        raise ParseError("empty expression", 0)
+    parser = _Parser(_tokenize(text, n_vars))
+    root = parser.expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.position)
+    return root
 
 
 def pairwise_gradient(e, x) -> np.ndarray:

@@ -26,7 +26,9 @@ def test_symmetry_decide_traced_run():
 
 
 def test_stencil_order_traced_run():
-    assert traced_run("stencil-order")["expr.hessian.calls"]["value"] > 0
+    metrics = traced_run("stencil-order")
+    assert metrics["expr.hessian.calls"]["value"] > 0
+    assert metrics["expr.nodes"]["value"] > 0  # each parsed tree, decoded from its tape
 
 
 def test_group_audit_traced_run():

@@ -1,6 +1,7 @@
 """Expression parsing, the evaluation tape, hyper-dual AD and pretty-printing."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     fd_gradient,
     fd_hessian,
     guarded_relative,
+    oracle_root,
     pairwise_gradient,
     pairwise_hessian,
     reference_hessian,
@@ -34,6 +36,7 @@ from signflip.expr import (
     UnknownIdentifierError,
     Var,
     VarIndexError,
+    _lower,
     evaluate,
     evaluate_points,
     gradient,
@@ -137,6 +140,49 @@ class TestNesting:
     def test_past_the_cap_is_a_parse_error(self, form, depth):
         with pytest.raises(ParseError, match="nesting deeper"):
             parse(NESTED[form](depth), 1)
+
+    @pytest.mark.parametrize("suffix", ["", ")", " x1", " + $", " + x9"])
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+    @pytest.mark.parametrize("form", NESTED)
+    def test_as_the_two_pass_oracle(self, form, depth, suffix):
+        # a lexical error after the point of a syntax error still wins
+        text = NESTED[form](depth) + suffix
+        assert parse_outcome(text, 1, one_pass) == parse_outcome(text, 1, two_pass)
+
+
+PARSE_CORPUS = [
+    "", "   ", "x1 +", "(x1", "x1)", "x1 x2", "sin x1", "1 + $", "*x1", "x1^", "y1 + 2", "x0",
+    "x01", "tan(x1)", "nan", "x4", "x1 +\n  #", "x1\n+\tx2\u00a0*\r2", "-x1^2", "x1^x2^2", "2^-2",
+    "1e-3 + .5 + 2.5E+1 + 7", "x1^(2)", "x1^((2))", "x1^(-2)", "x1 - -x2", "sin(", "sin()", "()",
+    "x1^-x2^2*3", "2*-x1", "x1 $ (", "( x9", "x1 ) y", "sin(x1))", "x1e5", "1e", "1.e3", ".e3",
+    "x1abc", "x10a", "x1_", "\u0663 + x1", "--x1", "x1--x1", "sin(x1) x4", "(x1 + ) $", "exp x9",
+]
+
+
+def hex_tape(tape) -> list:
+    return [(op, arg.hex() if isinstance(arg, float) else arg) for op, arg in tape]
+
+
+def parse_outcome(text: str, n: int, parser):
+    """The tape of ``parser(text, n)``, constants as float.hex, or its error's class, message and position."""
+    try:
+        return hex_tape(parser(text, n))
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def one_pass(text, n):
+    return parse(text, n).tape
+
+
+def two_pass(text, n):
+    return _lower(oracle_root(text, n))
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS)
+def test_corpus_parses_as_the_two_pass_oracle(text):
+    for n in (1, 2, 3):
+        assert parse_outcome(text, n, one_pass) == parse_outcome(text, n, two_pass)
 
 
 class TestEvaluate:
@@ -452,6 +498,42 @@ def test_lanes_equal_pairwise_walks_on_corpus():
 def test_print_parse_round_trip(root):
     text = to_string(root)
     assert parse(text, 3).root == root
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast_strategy(3))
+def test_parsed_tree_is_the_oracle_tree_and_lowers_to_the_tape(root):
+    text = render(root)
+    e = parse(text, 3)
+    assert e.tape == _lower(e.root)
+    assert e.root == oracle_root(text, 3) == Expression(root, 3).root
+
+
+# Pieces that make syntax errors in every position (stray operators,
+# brackets, numbers and variables) and lexical ones (an unknown character
+# or name, a variable past n).
+FUZZ_PIECES = ["x1", "x2", "x3", "sin(", "exp", "(", ")", "(", ")", "+", "-", "*", "/", "^", " ",
+               "2", "1.5", "1e", ".", "$", "x0"]
+
+
+@st.composite
+def mutated_text(draw):
+    """Expression text with up to four pieces inserted between its words and symbols or deleted."""
+    text = draw(st.sampled_from([t for t, *_ in AD_CORPUS]) | ast_strategy(3).map(render))
+    parts = re.findall(r"\w+|\s+|.", text)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        k = draw(st.integers(min_value=0, max_value=len(parts)))
+        if draw(st.integers(min_value=0, max_value=2)) or k == len(parts):
+            parts.insert(k, draw(st.sampled_from(FUZZ_PIECES)))
+        else:
+            del parts[k]
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(), st.integers(min_value=1, max_value=3))
+def test_mutated_text_parses_as_the_two_pass_oracle(text, n):
+    assert parse_outcome(text, n, one_pass) == parse_outcome(text, n, two_pass)
 
 
 @settings(max_examples=300, deadline=None)

@@ -37,6 +37,8 @@ from signflip.linalg import (
     is_unitary,
     off_diagonal_norm,
     symmetric_eigen,
+    _times_power_of_two,
+    _unit_scale,
 )
 from signflip.linalg import _normalize_row_signs
 
@@ -113,6 +115,37 @@ class TestPredicates:
         with pytest.raises(ValueError):
             predicate(np.eye(2), -1e-3)
 
+    @pytest.mark.parametrize(
+        "predicate", [is_diagonal, is_symmetric, is_hermitian, is_orthogonal, is_unitary, is_normal]
+    )
+    def test_nan_tolerance_rejected(self, predicate):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            predicate(np.eye(2), math.nan)
+
+    @pytest.mark.parametrize("scale", [1.7e308, 5e-324])
+    def test_is_normal_at_the_float_edges_without_warnings(self, scale):
+        # both products overflow (or underflow to zero) unless they are formed
+        # at unit scale, and the tolerance is scaled by 2^-2e in two steps
+        rotation = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        shear = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_normal(rotation, 0.0)
+            assert not is_normal(shear, 0.0)
+
+    @pytest.mark.parametrize("k", [-300, -40, 0, 40, 300])
+    def test_is_normal_verdict_is_that_of_the_unscaled_products(self, k):
+        # in the normal range the unit-scale products are exactly 2^-2e times
+        # the unscaled ones, so the verdict flips at the same tolerance
+        rng = np.random.default_rng(300 + k)
+        for n in (1, 2, 3, 5, 8):
+            m = math.ldexp(1.0, k) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            for a in (m, m.real, m + m.conj().T):
+                c = a.astype(complex)
+                d = frobenius(c @ c.conj().T - c.conj().T @ c)
+                assert is_normal(a, d)
+                assert d == 0.0 or not is_normal(a, math.nextafter(d, 0.0))
+
     @pytest.mark.parametrize("predicate", [is_symmetric, is_hermitian])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_difference_beyond_float_range_without_warnings(self, predicate, dtype):
@@ -122,6 +155,24 @@ class TestPredicates:
             warnings.simplefilter("error")
             assert not predicate(skew, 1e300)
             assert predicate(skew + skew.T, 0.0)
+
+
+@pytest.mark.parametrize("k", [-1000, -30, 0, 30, 1000])
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[0.9 + 0.9j, 0.1j], [-0.3, 0.5 - 0.7j]]),  # |z| = 1.27 but no part reaches 1
+        np.array([[0.2 - 0.6j, 0.0], [0.3j, -0.25 + 0.1j]]),  # the largest part is imaginary
+        np.array([[-0.75 + 0.7j, 0.5], [0.1, 0.0]]),  # the largest part is real
+    ],
+)
+def test_unit_scale_of_a_complex_matrix(m, k):
+    """Every real and imaginary part lands in (-1, 1), the largest at 1/2 or more, exactly."""
+    a = m * math.ldexp(1.0, k)
+    unit, e = _unit_scale(a)
+    parts = np.abs(np.concatenate([unit.real.ravel(), unit.imag.ravel()]))
+    assert 0.5 <= parts.max() < 1.0
+    assert np.array_equal(_times_power_of_two(unit, e), a)
 
 
 def characteristic_roots_3x3(a):

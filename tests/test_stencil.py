@@ -192,6 +192,14 @@ class TestDegeneracyCheck:
         kinds = [(w.kind, w.element) for w in warnings]
         assert (NEAR_EIGENVECTOR, 2) in kinds
 
+    def test_step_fixed_by_an_element_flagged(self, reference_setup):
+        f, group, g1, g2 = reference_setup
+        # "+-+" keeps the first basis row, so it fixes this step (not up to a sign)
+        fixing = group.element(SignPattern.from_string("+-+"))
+        warnings = degeneracy_check(fixing, g2, group.basis[0])
+        kinds = [(w.kind, w.element) for w in warnings]
+        assert (NEAR_EIGENVECTOR, 1) in kinds and (NEAR_EIGENVECTOR, 2) in kinds
+
     def test_identity_elements_exempt_from_eigenvector_check(self, reference_setup):
         f, group, g1, g2 = reference_setup
         # every vector is an eigenvector of the identity element, which is
