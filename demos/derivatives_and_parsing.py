@@ -2,8 +2,8 @@
 
 The expression mini-language covers +, -, *, /, ^ and the functions sin,
 cos, exp, log, sqrt over variables x1, x2, ...; hyper-dual evaluation gives
-machine-precision first and second derivatives, every component pair a
-lane of one forward pass over the expression's tape.
+machine-precision first and second derivatives from one forward pass over
+the expression's tape, each intermediate carrying only the partials it has.
 """
 
 import numpy as np

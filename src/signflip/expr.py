@@ -17,17 +17,22 @@ most ``MAX_NESTING`` deep.
 list or tree; ``^`` by a number is one power instruction.  An Expression is
 its tape and compares and hashes by it.  One operand-stack loop runs the
 tape over five kinds of operand: a float or a NumPy column of points per
-variable (``evaluate``, ``evaluate_points``), hyper-dual lanes (``gradient``,
-``hessian``), infix text (``to_string``) or tree nodes (``root``).
-A hyper-dual number carries a value, first partials d1 and d2 along two
-seeded directions and the mixed partial d12; the Hessian runs its n(n+1)/2
-index pairs as lanes of one pass, each exact to roundoff.  Transcendental
-functions use ``math`` value by value, so every point agrees bitwise with a
-one-point run and with a recursive walk of the tree.  Every lane equals
-(``==``) a walk of the tree in that lane's hyper-dual numbers wherever the
-walk is finite; the signs of zero derivatives may differ, and where the walk
-overflows to NaN a lane can stay finite (see ``_Lanes``).  A result that is
-not finite raises DomainError.
+variable (``evaluate``, ``evaluate_points``), sparse hyper-dual numbers
+(``gradient``, ``hessian``), infix text (``to_string``) or tree nodes
+(``root``).  A hyper-dual number carries its value and only the partials it
+has: ``g[k]`` along each variable x_k it depends on and ``h[(i, j)]``,
+i <= j, so a constant costs no derivative work and one pass gives the
+gradient and the Hessian, exact to roundoff.  Transcendental functions use
+``math`` value by value, so every point agrees bitwise with a one-point run
+and with a recursive walk of the tree.  ``h[(i, j)]`` equals (``==``) d12 of
+the walk in lane (i, j), whose hyper-dual numbers are seeded along x_i (d1)
+and x_j (d2), wherever the walk is finite; the signs of zero derivatives may
+differ, and where the walk multiplies a lifted zero by inf (NaN) an entry
+can stay finite.  The walk divides as ``a*(1/b)`` and takes
+``exp(b*log(a))`` only where it holds hyper-dual numbers, so where a ``/``
+or ``^`` depends on some but not all variables its value differs between
+lanes, and the tape runs once per lane instead.  A result that is not finite
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -350,11 +355,7 @@ _FUNCTION_TABLE = {
     "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
     "exp": (math.exp, math.exp, math.exp),
     "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (
-        math.sqrt,
-        lambda v: 0.5 / math.sqrt(v),
-        lambda v: -0.25 / (v * math.sqrt(v)),
-    ),
+    "sqrt": (math.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -0.25 / (v * math.sqrt(v))),
 }
 
 
@@ -414,118 +415,104 @@ class _Values:
            lambda a, b, _: a - b, lambda a, b, _: a * b, div, pow)
 
 
-class _Lanes:
-    """Hyper-dual arithmetic on (value, d1, d2, d12, dual) across seeded lanes.
+class _Mixed(Exception):
+    """A ``/`` or a variable ``^`` whose value differs between lanes."""
 
-    Lane k seeds d1 along variable ``first[k]`` and d2 along ``second[k]``.
-    A component is a float while it is equal in every lane and an array of
-    lanes once it is not.  ``dual`` has bit k set where the operand depends
-    on lane k's seeds, as a tree walk's hyper-dual number would; elsewhere
-    the walk holds a plain float, so division, ``^0``, a variable exponent
-    and sqrt at zero keep the float rule there.  Each formula is the per-lane
-    hyper-dual rule in the same order, e.g. d12 of a product is
-    ``a.v*b.d12 + a.d1*b.d2 + a.d2*b.d1 + a.d12*b.v``.
 
-    The walk lifts a float to a hyper-dual number with +0.0 derivatives,
-    while here a non-dual operand keeps the zeros its own operations left,
-    e.g. -0.0 after a negation, and a product with a float in every lane
-    skips the lifted zero terms.  So a lane can differ from the walk in the
-    sign of a zero, and where the walk multiplies a lifted zero by inf
-    (NaN), the lane can keep a finite value.
+def _accumulate(h: dict, terms) -> dict:
+    """``h`` with each ``(key, t)`` of ``terms`` added in order; an absent entry becomes t."""
+    for p, t in terms:
+        h[p] = h[p] + t if p in h else t
+    return h
+
+
+class _HyperDuals:
+    """Sparse hyper-dual numbers: a float, or ``(value, g, h)`` over the seeded variables.
+
+    Each formula is the per-lane rule in the same order with absent terms
+    skipped.  ``/`` and a variable ``^`` whose operands depend on some seeded
+    variables but fewer than ``cover`` raise ``_Mixed``.
     """
 
-    def __init__(self, first: np.ndarray, second: np.ndarray):
-        self.first = first
-        self.second = second
-        self.full = (1 << len(first)) - 1
-        self.ops = (None, None, self.neg, self.func, self.powk, self.add, self.sub,
+    const = staticmethod(_Values.const)
+
+    def __init__(self, cover: int):
+        self.cover = cover
+        self.ops = (None, None, lambda a, _: self.mul(-1.0, a), self.func, self.powk, self.add,
+                    lambda a, b, _: self.add(a, self.mul(-1.0, b)),  # -x and a - b, exactly
                     self.mul, self.div, self.pow)
 
-    def leaf(self, k: int, x: float):
-        """Variable k at value x: seeded in d1, d2 or both per lane."""
-        d1 = (self.first == k).astype(np.float64)
-        d2 = (self.second == k).astype(np.float64)
-        dual = sum(1 << lane for lane in np.flatnonzero(d1 + d2).tolist())
-        return (x, d1, d2, 0.0, dual)
-
     @staticmethod
-    def const(c):
-        return (c, 0.0, 0.0, 0.0, 0)
-
-    @staticmethod
-    def neg(a, _arg):
-        return (-a[0], -a[1], -a[2], -a[3], a[4])
-
-    @staticmethod
-    def add(a, b, _arg):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] | b[4])
-
-    @staticmethod
-    def sub(a, b, _arg):
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] | b[4])
+    def add(a, b, _arg=None):
+        if type(a) is float:
+            if type(b) is float:
+                return a + b
+            a, b = b, a  # IEEE addition commutes
+        if type(b) is float:
+            return (a[0] + b, a[1], a[2])
+        return (a[0] + b[0], _accumulate(a[1].copy(), b[1].items()),
+                _accumulate(a[2].copy(), b[2].items()))
 
     @staticmethod
     def mul(a, b, _arg=None):
-        av, a1, a2, a12, adual = a
-        bv, b1, b2, b12, bdual = b
-        if not adual | bdual:  # two plain floats: 0 * inf must not reach d12
-            return (av * bv, 0.0, 0.0, 0.0, 0)
-        # A factor that is a plain float in every lane scales the other one,
-        # without the full rule's zero terms (about 10% of a stencil-order op).
-        if not bdual:
-            return (av * bv, a1 * bv, a2 * bv, a12 * bv, adual)
-        if not adual:
-            return (av * bv, av * b1, av * b2, av * b12, bdual)
-        return (
-            av * bv,
-            av * b1 + a1 * bv,
-            av * b2 + a2 * bv,
-            av * b12 + a1 * b2 + a2 * b1 + a12 * bv,
-            adual | bdual,
-        )
+        if type(a) is float:
+            if type(b) is float:
+                return a * b
+            a, b = b, a  # IEEE multiplication commutes
+        av, ag, ah = a
+        if type(b) is float:
+            return (av * b, {k: d * b for k, d in ag.items()}, {p: d * b for p, d in ah.items()})
+        bv, bg, bh = b  # the hot path of a Hessian, so the sums are written out
+        g = {k: av * d for k, d in bg.items()}
+        for k, d in ag.items():
+            g[k] = g[k] + d * bv if k in g else d * bv
+        h = {p: av * d for p, d in bh.items()}
+        for i, ai in ag.items():  # a.d1*b.d2 in lanes (i, j)
+            for j, bj in bg.items():
+                if i <= j:
+                    h[i, j] = h[i, j] + ai * bj if (i, j) in h else ai * bj
+        for i, ai in ag.items():  # then a.d2*b.d1 in lanes (j, i)
+            for j, bj in bg.items():
+                if j <= i:
+                    h[j, i] = h[j, i] + ai * bj if (j, i) in h else ai * bj
+        for p, d in ah.items():
+            h[p] = h[p] + d * bv if p in h else d * bv
+        return (av * bv, g, h)
 
     @staticmethod
     def reciprocal(a):
-        v, d1, d2, d12, dual = a
+        v, g, h = a if type(a) is tuple else (a, {}, {})  # lifted, as the walk lifts it
         _raise_if(v == 0.0, v, "division by zero ({!r})")
         iv = 1.0 / v
         i2 = iv * iv
-        return (iv, -d1 * i2, -d2 * i2, (2.0 * d1 * d2 * iv - d12) * i2, dual)
+        # d12 = (2*d1*d2*iv - d12)*i2, and x - y is exactly -y + x
+        rh = _accumulate({p: -d for p, d in h.items()},
+                         [((i, j), 2.0 * gi * gj * iv) for i, gi in g.items() for j, gj in g.items() if i <= j])
+        return (iv, {k: -d * i2 for k, d in g.items()}, {p: d * i2 for p, d in rh.items()})
 
     @staticmethod
     def chain(u, f0, f1, f2):
         """Compose an outer function (value f0, derivatives f1, f2) with u."""
-        return (f0, f1 * u[1], f1 * u[2], f1 * u[3] + f2 * u[1] * u[2], u[4])
+        _, g, h = u
+        ch = _accumulate({p: f1 * d for p, d in h.items()},
+                         [((i, j), f2 * gi * gj) for i, gi in g.items() for j, gj in g.items() if i <= j])
+        return (f0, {k: f1 * d for k, d in g.items()}, ch)
 
-    def by_lane(self, method: str, entries, *args):
-        """``method`` run lane by lane, for the rare mixed dual/float case."""
-        results = []
-        for k in range(len(self.first)):
-            lane = _Lanes(self.first[k : k + 1], self.second[k : k + 1])
-            split = [
-                tuple(c[k].item() if isinstance(c, np.ndarray) else c for c in e[:4])
-                + ((e[4] >> k) & 1,)
-                for e in entries
-            ]
-            results.append(getattr(lane, method)(*split, *args))
-        *columns, duals = zip(*results)
-        dual = sum(d << k for k, d in enumerate(duals))
-        return tuple(np.array(c, dtype=np.float64) for c in columns) + (dual,)
+    def hyper_dual(self, *operands) -> bool:
+        """Whether the walk holds hyper-dual operands here: in every lane, or in none."""
+        seeds = set().union(*(x[1] for x in operands if type(x) is tuple))
+        if 0 < len(seeds) < self.cover:
+            raise _Mixed
+        return bool(seeds)
 
     def div(self, a, b, _arg):
-        _raise_if(b[0] == 0.0, b[0], "division by zero ({!r})")
-        dual = a[4] | b[4]
-        if not dual:
-            return (a[0] / b[0], 0.0, 0.0, 0.0, 0)
-        q = self.mul(a, self.reciprocal(b))
-        if dual != self.full:
-            lanes = np.array([(dual >> k) & 1 for k in range(len(self.first))], dtype=bool)
-            q = (np.where(lanes, q[0], a[0] / b[0]),) + q[1:]
-        return q
+        if not self.hyper_dual(a, b):
+            return _Values.div(a, b, None)
+        return self.mul(a, self.reciprocal(b))  # a*(1/b), as the walk divides
 
     def powk(self, a, ev: float):
-        if not a[4] or ev == 0.0:
-            return (_Values.powk(a[0], ev), 0.0, 0.0, 0.0, 0)
+        if type(a) is float or ev == 0.0:
+            return _Values.powk(a if type(a) is float else a[0], ev)
         if ev.is_integer():
             k = int(ev)
             if k > 0:
@@ -534,33 +521,25 @@ class _Lanes:
             return self.reciprocal(_powi(a, -k, self.mul))
         v = a[0]
         _check_positive_base(v, ev)
-        return self.chain(
-            a,
-            _map(lambda t: t ** ev, v),
-            ev * _map(lambda t: t ** (ev - 1.0), v),
-            ev * (ev - 1.0) * _map(lambda t: t ** (ev - 2.0), v),
-        )
+        return self.chain(a, v ** ev, ev * v ** (ev - 1.0), ev * (ev - 1.0) * v ** (ev - 2.0))
 
     def pow(self, a, b, _arg):
-        if b[4] == self.full:  # exp(b log a), with a lifted to a hyper-dual
-            _raise_if(a[0] <= 0.0, a[0],
-                      "exponent depending on variables requires a positive base ({!r})")
-            return self.func(self.mul(b, self.func(a[:4] + (self.full,), "log")), "exp")
-        if not b[4] and not isinstance(b[0], np.ndarray):
-            return self.powk(a, b[0])
-        return self.by_lane("pow", (a, b), None)
+        if not self.hyper_dual(b):
+            return self.powk(a, b)
+        a = a if type(a) is tuple else (a, {}, {})  # lifted, so log's derivatives are formed too
+        _raise_if(a[0] <= 0.0, a[0], "exponent depending on variables requires a positive base ({!r})")
+        return self.func(self.mul(b, self.func(a, "log")), "exp")
 
-    def func(self, a, name: str):
+    @staticmethod
+    def func(a, name: str):
+        if type(a) is float:
+            return _Values.func(a, name)
         v = a[0]
-        if not a[4]:
-            return (_Values.func(v, name), 0.0, 0.0, 0.0, 0)
         _check_function_domain(name, v)
-        if name == "sqrt" and np.any(v == 0.0):
-            if a[4] != self.full:
-                return self.by_lane("func", (a,), name)
+        if name == "sqrt" and v == 0.0:
             raise DomainError("sqrt derivative undefined at zero")
         f, f1, f2 = _FUNCTION_TABLE[name]
-        return self.chain(a, _map(f, v), _map(f1, v), _map(f2, v))
+        return _HyperDuals.chain(a, f(v), f1(v), f2(v))
 
 
 def _raise_unless_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -602,39 +581,47 @@ def evaluate_points(e: Expression, points) -> np.ndarray:
     return _raise_unless_finite(values, "the value")
 
 
-def _lane_pass(e: Expression, point, first: np.ndarray, second: np.ndarray):
-    """The tape run once over the hyper-dual lanes seeded by (first, second)."""
+def _partials(e: Expression, point, lanes) -> tuple[dict, dict]:
+    """g and h at ``point``: one pass seeding every variable, else one per lane.
+
+    Each lane (i, j) of ``lanes`` then runs alone, seeded along x_i and x_j.
+    """
     xs = _coerce_point(e, point)
-    lanes = _Lanes(first, second)
-    leaves = [lanes.leaf(k, x) for k, x in enumerate(xs)]
-    with np.errstate(all="ignore"):
+
+    def run(seeds, cover: int) -> tuple[dict, dict]:
+        leaves = list(xs)
+        for k in seeds:
+            leaves[k] = (xs[k], {k: 1.0}, {})
         try:
-            result = _run(e.tape, leaves, lanes)
+            result = _run(e.tape, leaves, _HyperDuals(cover))
         except ZeroDivisionError as exc:
             raise DomainError(f"a derivative is not finite ({exc})") from exc
-    return [np.broadcast_to(c, first.shape) for c in result[:4]]
+        return result[1:] if type(result) is tuple else ({}, {})
+
+    try:
+        return run(range(e.n_vars), e.n_vars)
+    except _Mixed:
+        g, h = {}, {}
+        for i, j in lanes:
+            lane_g, lane_h = run({i, j}, 1)
+            g[i], h[i, j] = lane_g.get(i, 0.0), lane_h.get((i, j), 0.0)
+        return g, h
 
 
 def gradient(e: Expression, point) -> np.ndarray:
-    """All first partials: d1 of the n diagonal lanes of one pass."""
-    lanes = np.arange(e.n_vars)
-    d1 = np.array(_lane_pass(e, point, lanes, lanes)[1])
-    return _raise_unless_finite(d1, "the gradient")
+    """All first partials, read from g."""
+    n = e.n_vars
+    g = _partials(e, point, [(k, k) for k in range(n)])[0]
+    return _raise_unless_finite(np.array([g.get(k, 0.0) for k in range(n)]), "the gradient")
 
 
 def hessian(e: Expression, point) -> np.ndarray:
-    """Symmetric matrix of second partials from one pass over n(n+1)/2 lanes.
-
-    Lane (i, j) is seeded with d1 along i and d2 along j and read from
-    d12; it is stored at (i, j) and (j, i), so the output passes a
-    zero-tolerance symmetry test.
-    """
+    """Symmetric matrix of second partials, h[(i, j)] stored at (i, j) and (j, i)."""
     n = e.n_vars
-    first, second = np.triu_indices(n)
-    d12 = _lane_pass(e, point, first, second)[3]
+    h = _partials(e, point, [(i, j) for i in range(n) for j in range(i, n)])[1]
     out = np.zeros((n, n))
-    out[first, second] = d12
-    out[second, first] = d12
+    for (i, j), d in h.items():
+        out[i, j] = out[j, i] = d
     return _raise_unless_finite(out, "the Hessian")
 
 

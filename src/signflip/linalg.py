@@ -120,12 +120,16 @@ def off_diagonal_norm(a) -> float:
 
 
 def commutator_norm(a, b) -> float:
-    """Frobenius norm of ``a @ b - b @ a``; zero exactly when they commute."""
-    ma = as_matrix(a, name="a")
-    mb = as_matrix(b, name="b")
+    """Frobenius norm of ``a @ b - b @ a``, formed at unit scale; OverflowError beyond the float range."""
+    ma, ea = _unit_scale(as_matrix(a, name="a"))
+    mb, eb = _unit_scale(as_matrix(b, name="b"))
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"commutator of {ma.shape} and {mb.shape}")
-    return frobenius(ma @ mb - mb @ ma)
+    norm = frobenius(ma @ mb - mb @ ma)
+    try:
+        return math.ldexp(norm, ea + eb)
+    except OverflowError:
+        raise OverflowError(f"the commutator norm ({norm:.6g} * 2**{ea + eb}) exceeds the float range") from None
 
 
 def _check_tol(tol: float) -> None:
@@ -156,20 +160,24 @@ def is_hermitian(a, tol: float) -> bool:
     return frobenius(unit - unit.conj().T) <= _times_power_of_two(tol, -e)
 
 
+def _is_isometry(m: np.ndarray, tol: float) -> bool:
+    """``||m m* - I||_F <= tol``, formed at unit scale where ``m m*`` could leave the float range."""
+    _check_tol(tol)
+    identity = np.eye(m.shape[0])
+    if np.vdot(m, m).real < 1e308:  # ||m||_F^2 bounds every partial sum of m m*
+        return frobenius(m @ m.conj().T - identity) <= tol
+    m, e = _unit_scale(m)
+    return frobenius(m @ m.conj().T - _times_power_of_two(identity, -2 * e)) <= _times_power_of_two(tol, -2 * e)
+
+
 def is_orthogonal(v, tol: float) -> bool:
     """True iff ``||v v^T - I||_F <= tol`` (real transpose)."""
-    m = as_real_matrix(v, name="v")
-    _check_tol(tol)
-    n = m.shape[0]
-    return frobenius(m @ m.T - np.eye(n)) <= tol
+    return _is_isometry(as_real_matrix(v, name="v"), tol)
 
 
 def is_unitary(w, tol: float) -> bool:
     """True iff ``||w w* - I||_F <= tol``; reduces to orthogonality for real input."""
-    m = as_matrix(w, name="w")
-    _check_tol(tol)
-    n = m.shape[0]
-    return frobenius(m @ m.conj().T - np.eye(n)) <= tol
+    return _is_isometry(as_matrix(w, name="w"), tol)
 
 
 def is_normal(a, tol: float) -> bool:

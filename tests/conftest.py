@@ -95,6 +95,17 @@ AD_CORPUS = [
     ("x2^x1", 2, 0.5, 2.0),
     ("sin(exp(x1) - 1)*x2", 2, -1.5, 1.5),
     ("sqrt(x1)*log(x2)", 2, 0.5, 3.0),
+    # products of factors in both variables, whose mixed partial adds two
+    # unequal cross terms in a fixed order
+    ("sin(x1 + 2*x2)*exp(x2 - x1)", 2, -1.5, 1.5),
+    ("exp(x1 - x2)*sin(x1*x2)*(2*x1 + x2)^2", 2, -1.5, 1.5),
+    # a / or ^ over some but not all variables: one pass per lane (i, j),
+    # where the products make entries depend on the lane's float value
+    ("x1/x2 + x3^2", 3, 0.5, 2.0),
+    ("x3^x1 + sin(x2)", 3, 0.5, 2.0),
+    ("x1/x2*x3^2", 3, 0.5, 2.0),
+    ("x3^x1*sin(x2)", 3, 0.5, 2.0),
+    ("(x1 + x3)/x2", 3, 0.5, 2.0),
 ]
 
 

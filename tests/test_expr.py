@@ -467,20 +467,24 @@ def test_points_pass_equals_scalar_evaluate(root, points):
             assert not isinstance(value, type) and same_bits(value, walk)
 
 
-@settings(max_examples=300, deadline=None)
-@given(ast_strategy(3), point3)
-def test_lanes_equal_pairwise_walks(root, point):
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_lanes_equal_pairwise_walks(n):
     # The contract is ==, so zeros of either sign match.  Where the tree
     # walks overflow the tape may not agree (their lifted zeros turn inf
     # into NaN), so only finite walks and domain errors count.
-    e = Expression(root, 3)
-    for lanes, walks in ((hessian, pairwise_hessian), (gradient, pairwise_gradient)):
-        expected = outcome(lambda: walks(e, point))
-        got = outcome(lambda: lanes(e, point))
-        if isinstance(expected, type):
-            assert isinstance(got, type)
-        elif np.all(np.isfinite(expected)):
-            assert np.array_equal(got, expected)
+    @settings(max_examples=300, deadline=None)
+    @given(ast_strategy(n), st.tuples(*[coordinate] * n))
+    def check(root, point):
+        e = Expression(root, n)
+        for lanes, walks in ((hessian, pairwise_hessian), (gradient, pairwise_gradient)):
+            expected = outcome(lambda: walks(e, point))
+            got = outcome(lambda: lanes(e, point))
+            if isinstance(expected, type):
+                assert isinstance(got, type)
+            elif np.all(np.isfinite(expected)):
+                assert np.array_equal(got, expected)
+
+    check()
 
 
 def test_lanes_equal_pairwise_walks_on_corpus():

@@ -26,6 +26,7 @@ from signflip.linalg import (
     NoConvergenceError,
     NotHermitianError,
     NotSymmetricError,
+    as_matrix,
     commutator_norm,
     frobenius,
     hermitian_eigen,
@@ -71,6 +72,30 @@ class TestNormsAndCommutator:
         with pytest.raises(DimensionMismatchError):
             commutator_norm(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("k", [-600, -40, 0, 40, 300])
+    def test_commutator_scales_exactly(self, k):
+        # the products are formed at unit scale, so 2^k a gives 2^k the norm
+        rng = np.random.default_rng(61)
+        a, b = rng.normal(size=(2, 5, 5))
+        assert commutator_norm(np.ldexp(a, k), b) == math.ldexp(commutator_norm(a, b), k)
+
+    def test_commutator_at_the_float_edge_without_warnings(self):
+        # ab - ba = s^2 [[0, -1], [1, 0]], whose products overflow at the
+        # input's scale for s = 1e200 and stay finite for s = 1e100
+        ones = np.ones((2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert commutator_norm(1e100 * ones, np.diag([1e100, 0.0])) == pytest.approx(
+                math.sqrt(2.0) * 1e200, rel=1e-15
+            )
+            with pytest.raises(OverflowError, match="exceeds the float range"):
+                commutator_norm(1e200 * ones, np.diag([1e200, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_as_matrix_rejects_non_square(self, shape):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            as_matrix(np.zeros(shape))
+
 
 class TestPredicates:
     def test_is_diagonal(self):
@@ -101,6 +126,31 @@ class TestPredicates:
         w = np.array([[1.0, -1j], [1.0, 1j]]) / math.sqrt(2.0)
         assert is_unitary(w, 1e-15)
         assert not is_unitary(np.array([[1.0, 1j], [0.0, 1.0]]), 0.1)
+
+    @pytest.mark.parametrize("predicate", [is_orthogonal, is_unitary])
+    def test_isometry_verdict_flips_at_the_residual(self, predicate):
+        # the verdict is ||m m* - I||_F <= tol, formed at the input's scale
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 8, 64):
+            m = random_orthogonal(rng, n) + 1e-9 * rng.normal(size=(n, n))
+            for a in (m, REF_REFLECTION_4DP) if predicate is is_orthogonal else (m, m * 1j):
+                d = frobenius(a @ a.conj().T - np.eye(len(a)))
+                assert predicate(a, d)
+                assert not predicate(a, math.nextafter(d, 0.0))
+
+    @pytest.mark.parametrize("predicate", [is_orthogonal, is_unitary])
+    def test_isometry_at_the_float_edge_without_warnings(self, predicate):
+        # m m* overflows to inf (and to NaN where inf - inf meets) at the
+        # input's scale; the residual exceeds every finite tol
+        big = 1e200 * np.eye(2)
+        signs = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (big, signs):
+                assert not predicate(m, 0.1)
+                assert not predicate(m, 1.7e308)
+                assert predicate(m, math.inf)
+            assert not is_unitary(1j * big, 0.1)
 
     def test_is_normal(self):
         rotation = np.array([[0.6, -0.8], [0.8, 0.6]])

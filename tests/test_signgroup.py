@@ -31,6 +31,7 @@ from signflip.linalg import (
     _unit_scale,
 )
 from signflip.signgroup import (
+    FULL_AUDIT_CAP,
     NotOrthogonalError,
     NotUnitaryError,
     SignPattern,
@@ -223,6 +224,12 @@ class TestGroupAudit:
         assert audit.gram_residual == pytest.approx(
             np.linalg.norm(v @ v.T - np.eye(5)), rel=1e-6
         )
+
+    def test_exhaustive_at_the_cap(self):
+        audit = group_properties_check(conjugated_group(np.eye(FULL_AUDIT_CAP)))
+        assert audit.exhaustive
+        assert audit.order == 2**FULL_AUDIT_CAP
+        assert audit.closure_ok
 
     def test_generator_mode_above_cap(self):
         group = conjugated_group(np.eye(13))
