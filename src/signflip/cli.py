@@ -320,6 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "max_n", 1) < 1:
+            parser.error(f"argument --max-n: must be at least 1, got {args.max_n}")
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

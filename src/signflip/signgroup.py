@@ -27,9 +27,9 @@ of the 0/1 flip mask ``a`` as ``g_a = I - 2 V* D_a V`` with ``D_a = diag(a)``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +115,6 @@ class SignPattern:
         return len(self.signs)
 
     @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    @property
     def flipped(self) -> tuple[int, ...]:
         """Zero-based indices carrying a ``-1``."""
         return tuple(i for i, s in enumerate(self.signs) if s < 0)
@@ -130,10 +126,6 @@ class SignGroupElement:
 
     matrix: np.ndarray
     pattern: SignPattern
-
-    @property
-    def n(self) -> int:
-        return len(self.pattern)
 
 
 def _check_basis(v: np.ndarray) -> None:
@@ -150,16 +142,30 @@ def _element_matrix(v: np.ndarray, pattern: SignPattern) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ConjugatedSignGroup:
-    """The group ``{V^T s V}`` over all sign matrices ``s``, held by generators.
+class _Reflections(Sequence):
+    """The generators on ``basis`` as a read-only sequence; item ``i``, ``I - 2 v_i^T v_i``, is built when read."""
 
-    ``basis`` is the orthogonal matrix whose rows define the reflections;
-    ``generators[i]`` flips sign ``i`` only.
-    Arbitrary elements are built on demand from their pattern.
+    basis: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def __getitem__(self, i: int) -> SignGroupElement:
+        i = range(len(self))[i]
+        pattern = SignPattern(tuple(-1 if j == i else 1 for j in range(len(self))))
+        return SignGroupElement(_element_matrix(self.basis, pattern), pattern)
+
+
+@dataclass(frozen=True, eq=False)
+class ConjugatedSignGroup:
+    """The group ``{V^T s V}`` over all sign matrices ``s``, held by its basis.
+
+    ``basis`` is the orthogonal matrix whose rows define the reflections.
+    ``generators`` is a read-only sequence; its item ``i``, ``I - 2 v_i^T v_i``,
+    flips sign ``i`` only and is built when read, as is any element from its pattern.
     """
 
     basis: np.ndarray
-    generators: tuple[SignGroupElement, ...]
 
     @property
     def n(self) -> int:
@@ -168,6 +174,10 @@ class ConjugatedSignGroup:
     @property
     def order(self) -> int:
         return 2 ** self.n
+
+    @property
+    def generators(self) -> Sequence[SignGroupElement]:
+        return _Reflections(self.basis)
 
     def element(self, pattern: SignPattern) -> SignGroupElement:
         if len(pattern) != self.n:
@@ -181,18 +191,7 @@ def conjugated_group(v) -> ConjugatedSignGroup:
     """Construct the conjugated sign group with the given orthogonal basis."""
     m = as_real_matrix(v, name="basis")
     _check_basis(m)
-    # generator i is I - 2 v_i^T v_i, all n built in one array
-    reflections = -2.0 * m[:, :, None] * m[:, None, :]
-    reflections += np.eye(m.shape[0])
-    return ConjugatedSignGroup(
-        m, tuple(map(SignGroupElement, reflections, _single_flips(m.shape[0])))
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _single_flips(n: int) -> tuple[SignPattern, ...]:
-    """The ``n`` generator patterns, the ``i``-th flipping sign ``i`` only."""
-    return tuple(SignPattern(tuple(-1 if j == i else 1 for j in range(n))) for i in range(n))
+    return ConjugatedSignGroup(m)
 
 
 def _check_enumerable(n: int, n_cap: int) -> None:
@@ -221,32 +220,32 @@ def enumerate_group(v, n_cap: int = ENUMERATION_CAP):
         yield SignGroupElement(_element_matrix(m, pattern), pattern)
 
 
-def _flip_masks(n: int, exhaustive: bool) -> np.ndarray:
-    """0/1 rows marking the flipped signs of the elements an audit covers.
+def _flip_masks(n: int) -> np.ndarray:
+    """0/1 rows marking the flipped signs of all ``2**n`` elements, n <= ``FULL_AUDIT_CAP``.
 
-    All ``2**n`` elements in :func:`enumerate_group` order (row ``k`` flips the
-    set bits of ``k``, bit 0 for the last sign; n <= ``FULL_AUDIT_CAP``), or the ``n`` generators.
+    Row ``k`` flips the set bits of ``k`` (bit 0 for the last sign), as in :func:`enumerate_group`.
     """
-    if not exhaustive:
-        return np.eye(n)
     _check_enumerable(n, FULL_AUDIT_CAP)
     k = np.arange(2**n)[:, None]
     return ((k >> np.arange(n - 1, -1, -1)) & 1).astype(np.float64)
 
 
-def _flip_commutators(unit: np.ndarray, basis: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def _flip_commutators(unit: np.ndarray, basis: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
     """``||g U - U g||_F`` for the element ``g`` of each flip mask, with ``U = 2**-e A`` at unit scale.
 
     For orthonormal rows ``V`` the commutator is ``-2 V* (D B - B D) V`` with
     ``B = V U V*`` and ``D`` the mask's diagonal, whose nonzero entries are
     the ``B_ik`` with exactly one of ``i, k`` flipped.  The sum of their
     squares has only non-negative terms, so it cannot cancel, and at unit
-    scale the squares neither overflow nor underflow.  The norms are those
-    of ``U``; the caller scales back the ones it reports.
+    scale the squares neither overflow nor underflow.  With no ``masks`` (the generators) the sums are
+    the row sums off the diagonal.  The norms are those of ``U``; the caller scales back the ones it reports.
     """
     b = basis @ unit @ basis.conj().T
     w = np.abs(b) ** 2
     w += w.T
+    if masks is None:
+        np.fill_diagonal(w, 0.0)
+        return 2.0 * np.sqrt(np.sum(w, axis=1))
     return 2.0 * np.sqrt(np.sum((masks @ w) * (1.0 - masks), axis=1))
 
 
@@ -297,7 +296,7 @@ def commutes_with_sign_group(b, tol: float | None = None, exhaustive: bool = Fal
 def _commutes(m: np.ndarray, basis: np.ndarray, tol: float | None, exhaustive: bool) -> bool:
     """Whether the validated ``m`` commutes with the generators, or every element, on ``basis``."""
     unit, _, unit_tol = _at_unit_scale(m, tol)
-    return bool(np.all(_flip_commutators(unit, basis, _flip_masks(len(basis), exhaustive)) <= unit_tol))
+    return bool(np.all(_flip_commutators(unit, basis, _flip_masks(len(basis)) if exhaustive else None) <= unit_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +318,7 @@ class EquivarianceCheck:
 
 def _generator_check(unit, e: int, unit_tol: float, basis, tol: float | None) -> EquivarianceCheck:
     """Generator commutators of ``unit = 2**-e A`` against ``unit_tol``; OverflowError, not ``inf``."""
-    norms = _flip_commutators(unit, basis, _flip_masks(basis.shape[0], False))
+    norms = _flip_commutators(unit, basis)
     worst = int(np.argmax(norms))
     largest = _scale_back(norms[worst], e, "a commutator norm")
     if tol is None:
@@ -396,13 +395,17 @@ def group_properties_check(
 
     No element is multiplied: with ``E = V V* - I`` and ``G = V V*``,
     ``g_p g_q - g_(p xor q) = 4 V* D_p E D_q V`` and
-    ``g_p g_q - g_q g_p = 4 V* (D_p E D_q - D_q E D_p) V``.  With
-    ``N_p = E D_p G`` and ``o`` the entrywise product, their squared norms
-    over 16 are the quadratic forms ``c = q^T [(N_p D_p E) o G^T] q`` and
-    ``2 (c - Re q^T [N_p o N_p^T] q)``; the involution error is the case
-    ``p = q``.  Each form is evaluated for many pairs at once as one matrix
-    product of its entries against the stacked ``q_i q_k``, in row blocks
-    of at most ``AUDIT_BLOCK`` entries.
+    ``g_p g_q - g_q g_p = 4 V* (D_p E D_q - D_q E D_p) V``.  For two
+    generators both are rank one, so after the one product ``G`` the errors
+    are closed form: closure ``4 |E_pq| sqrt(G_pp G_qq)`` and commutation
+    ``4 |E_pq| sqrt(2 (G_pp G_qq - |E_pq|^2))`` for ``p != q``, and
+    involution ``4 |E_pp| G_pp``, which is closure's ``p = q`` case.  In
+    exhaustive mode, with ``N_p = E D_p G`` and ``o`` the entrywise product,
+    their squared norms over 16 are the quadratic forms
+    ``c = q^T [(N_p D_p E) o G^T] q`` and ``2 (c - Re q^T [N_p o N_p^T] q)``;
+    the involution error is the case ``p = q``.  Each form is evaluated for
+    many pairs at once as one matrix product of its entries against the
+    stacked ``q_i q_k``, in row blocks of at most ``AUDIT_BLOCK`` entries.
     """
     n = group.n
     if exhaustive is None:
@@ -411,30 +414,39 @@ def group_properties_check(
     v = group.basis
     gram = v @ v.conj().T
     resid = gram - np.eye(n)
-    masks = _flip_masks(n, exhaustive)
-    # The forms are symmetric in (i, k), so each sums over i <= k with the
-    # off-diagonal terms doubled; q_i q_i = q_i for a 0/1 mask.
-    i, k = np.triu_indices(n)
-    fold = np.where(i == k, 1.0, 2.0)
-    pairs = (masks[:, i] * masks[:, k]).T
+    if not exhaustive:
+        # the same squared norms over 16, of the generator pairs only
+        err = np.abs(resid) ** 2
+        forms = err * np.outer(gram.diagonal().real, gram.diagonal().real)
+        involution, closure = float(forms.diagonal().max()), float(forms.max())
+        forms -= err**2
+        np.fill_diagonal(forms, 0.0)
+        commutation = float(forms.max())
+    else:
+        masks = _flip_masks(n)
+        # The forms are symmetric in (i, k), so each sums over i <= k with the
+        # off-diagonal terms doubled; q_i q_i = q_i for a 0/1 mask.
+        i, k = np.triu_indices(n)
+        fold = np.where(i == k, 1.0, 2.0)
+        pairs = (masks[:, i] * masks[:, k]).T
 
-    closure = commutation = involution = 0.0
-    rows = max(1, AUDIT_BLOCK // (len(masks) + n * n))
-    for start in range(0, len(masks), rows):
-        p = masks[start : start + rows]
-        c = len(p)
-        n_p = ((resid * p[:, None, :]).reshape(c * n, n) @ gram).reshape(c, n, n)
-        m_p = ((n_p * p[:, None, :]).reshape(c * n, n) @ resid).reshape(c, n, n)
-        closure_form = (m_p * gram.T)[:, i, k].real * fold
-        cross_form = (n_p[:, i, k] * n_p[:, k, i]).real * fold
-        # Both forms are symmetric in (p, q), so the pairs q >= p suffice.
-        forms = np.concatenate((closure_form, closure_form - cross_form)) @ pairs[:, start:]
-        diagonal = np.arange(c)
-        involution = max(involution, float(forms[diagonal, diagonal].max()))
-        closure = max(closure, float(forms[:c].max()))
-        # g_p commutes with itself exactly; its form is only rounding noise
-        forms[c + diagonal, diagonal] = 0.0
-        commutation = max(commutation, float(forms[c:].max()))
+        closure = commutation = involution = 0.0
+        rows = max(1, AUDIT_BLOCK // (len(masks) + n * n))
+        for start in range(0, len(masks), rows):
+            p = masks[start : start + rows]
+            c = len(p)
+            n_p = ((resid * p[:, None, :]).reshape(c * n, n) @ gram).reshape(c, n, n)
+            m_p = ((n_p * p[:, None, :]).reshape(c * n, n) @ resid).reshape(c, n, n)
+            closure_form = (m_p * gram.T)[:, i, k].real * fold
+            cross_form = (n_p[:, i, k] * n_p[:, k, i]).real * fold
+            # Both forms are symmetric in (p, q), so the pairs q >= p suffice.
+            forms = np.concatenate((closure_form, closure_form - cross_form)) @ pairs[:, start:]
+            diagonal = np.arange(c)
+            involution = max(involution, float(forms[diagonal, diagonal].max()))
+            closure = max(closure, float(forms[:c].max()))
+            # g_p commutes with itself exactly; its form is only rounding noise
+            forms[c + diagonal, diagonal] = 0.0
+            commutation = max(commutation, float(forms[c:].max()))
 
     closure_max_err = 4.0 * math.sqrt(max(closure, 0.0))
     return GroupAudit(

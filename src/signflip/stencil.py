@@ -32,6 +32,7 @@ from .signgroup import (
     SignPattern,
     conjugated_group,
 )
+from .signgroup import _at_unit_scale, _flip_commutators
 
 DEFAULT_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
 NOISE_FLOOR_COEFF = 1e-14
@@ -40,6 +41,7 @@ DEGENERACY_TOL = 1e-2
 PAIR_DEGENERATE = "pair-degenerate"
 NEAR_EIGENVECTOR = "near-eigenvector"
 ORDER_UNDERDETERMINED = "order-underdetermined"
+GROUP_NOT_COMMUTING = "group-not-commuting"
 
 
 class AllBelowNoiseFloorError(ArithmeticError):
@@ -84,6 +86,8 @@ class StencilInput:
         n = self.f.n_vars
         object.__setattr__(self, "x", _as_vector(self.x, n, "x"))
         object.__setattr__(self, "h", _as_vector(self.h, n, "h"))
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.h))):
+            raise ValueError("x and h must be finite")
         if not np.any(self.h):
             raise ValueError("displacement h must be non-zero")
         for name, pattern in (("pattern1", self.pattern1), ("pattern2", self.pattern2)):
@@ -94,8 +98,8 @@ class StencilInput:
         scales = tuple(float(s) for s in self.scales)
         if not scales:
             raise ValueError("at least one scale is required")
-        if any(s <= 0 for s in scales):
-            raise ValueError("scales must be positive")
+        if not all(0.0 < s < math.inf for s in scales):
+            raise ValueError("scales must be positive and finite")
         if any(b >= a for a, b in zip(scales, scales[1:])):
             raise ValueError("scales must be strictly decreasing")
         object.__setattr__(self, "scales", scales)
@@ -209,15 +213,13 @@ def degeneracy_check(g1, g2, h, tol: float = DEGENERACY_TOL) -> tuple[StencilWar
             )
         )
 
-    nh = float(np.linalg.norm(hv))
+    nh = frobenius(hv)
     if nh > 0.0:
         eye = np.eye(m1.shape[0])
         for j, m in ((1, m1), (2, m2)):
             if min(frobenius(m - eye), frobenius(m + eye)) <= tol:
                 continue
-            ratio = min(
-                float(np.linalg.norm(m @ hv - hv)), float(np.linalg.norm(m @ hv + hv))
-            ) / nh
+            ratio = min(frobenius(m @ hv - hv), frobenius(m @ hv + hv)) / nh
             if ratio <= tol:
                 warnings.append(
                     StencilWarning(
@@ -242,23 +244,32 @@ def order_estimate(
 
     The group must be the conjugated sign group of the Hessian of f at x
     (the quadratic-term cancellation needs commutation with that Hessian);
-    when omitted it is derived here.  The fitted order is the least-squares
-    slope of log|S| against log scale over the scales whose |S| clears the
-    noise floor ``1e-14 * max(1, |f(x)|)``; with fewer than two such scales
-    the order is NaN (one scale) or AllBelowNoiseFloorError (none).
+    it is derived here when omitted, and a supplied one that misses it by
+    over ``1e-8 * ||H||_F`` adds a ``group-not-commuting`` warning.  The
+    fitted order is the least-squares slope of log|S| against log scale over
+    the scales whose |S| clears the noise floor ``1e-14 * max(1, |f(x)|)``;
+    below two such scales it is NaN (one) or AllBelowNoiseFloorError (none).
     """
     if len(inp.scales) < 2:
         raise ValueError("order estimation needs at least 2 scales")
     hess = hessian(inp.f, inp.x)
+    warnings = []
     if group is None:
         group = conjugated_group(symmetric_eigen(hess).vectors)
     elif group.n != inp.f.n_vars:
         raise DimensionMismatchError(
             f"group acts on dimension {group.n}, expression has {inp.f.n_vars} variables"
         )
+    else:
+        unit, _, unit_tol = _at_unit_scale(hess, None)
+        norms = _flip_commutators(unit, group.basis)
+        if norms.max() > unit_tol:
+            warnings.append(StencilWarning(GROUP_NOT_COMMUTING, (
+                f"generator {norms.argmax()} does not commute with the Hessian (margin "
+                f"{norms.max() / unit_tol:.3g}); the quadratic term does not cancel")))
     g1 = group.element(inp.pattern1)
     g2 = group.element(inp.pattern2)
-    warnings = list(degeneracy_check(g1, g2, inp.h))
+    warnings += degeneracy_check(g1, g2, inp.h)
 
     # The 1 + 4 * len(scales) distinct points, evaluated in one pass:
     # x, then x +- g1 (s h) and x +- g2 (s h) for each scale s.

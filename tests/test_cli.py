@@ -205,6 +205,12 @@ class TestGroup:
         assert "cap n <= 20" in err
         assert "pattern" not in out
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_exits_2(self, capsys, hessian_file, max_n):
+        code, out, err = run(capsys, "group", "--full", "--max-n", max_n, hessian_file)
+        assert code == 2
+        assert "--max-n" in err and "pattern" not in out
+
     def test_complex_input_exits_2(self, capsys, hermitian_file):
         code, out, err = run(capsys, "group", hermitian_file)
         assert code == 2
@@ -311,6 +317,29 @@ class TestStencil:
             capsys, "stencil", "--f", f, "--n", "2", "--x", x, "--h", "0.1,0.2",
             "--s1", "++", "--s2=-+",
         )
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra", [("--scales", "1,nan"), ("--scales", "inf,1"), ("--x", "nan,1"), ("--h", "0.1,inf")]
+    )
+    def test_non_finite_input_exits_2(self, capsys, extra):
+        args = {"--x": "1,1", "--h": "0.1,0.2", "--scales": "1,0.5"}
+        args.update([extra])
+        code, out, err = run(
+            capsys, "stencil", "--f", "x1^4 + x2^4", "--n", "2", "--s1", "++", "--s2=-+",
+            *(item for pair in args.items() for item in pair),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err
+
+    def test_huge_step_prints_one_error_line_and_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "stencil", "--f", "x1^4 + x2^4", "--n", "2", "--x", "1,1",
+                "--h", "1e200,0.2", "--s1", "++", "--s2=-+",
+            )
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 

@@ -244,6 +244,89 @@ class TestGroupAudit:
             group_properties_check(group, exhaustive=True)
 
 
+def _flip(n, flipped):
+    return SignPattern(tuple(-1 if i in flipped else 1 for i in range(n)))
+
+
+def _generator_oracle(group):
+    """Involution, commutation and closure maxima over the generator pairs, from element products."""
+    n = group.n
+    g = [group.element(_flip(n, {p})).matrix for p in range(n)]
+    involution = commutation = closure = 0.0
+    for p in range(n):
+        involution = max(involution, frobenius(g[p] @ g[p] - np.eye(n)))
+        for q in range(n):
+            pq = g[p] @ g[q]
+            commutation = max(commutation, frobenius(pq - g[q] @ g[p]))
+            closure = max(closure, frobenius(pq - group.element(_flip(n, {p} ^ {q})).matrix))
+    return involution, commutation, closure
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from([0.0, 1e-12, 1e-10, 3e-9, 9e-9]),
+)
+def test_generator_audit_matches_element_products(n, seed, gram_residual):
+    """The closed-form generator audit equals the norms of the built products."""
+    rng = np.random.default_rng(seed)
+    v = _perturbed_basis(rng, n, gram_residual) if gram_residual else random_orthogonal(rng, n)
+    group = conjugated_group(v)
+    audit = group_properties_check(group, exhaustive=False)
+    got = (audit.involution_max_err, audit.commutation_max_err, audit.closure_max_err)
+    for value, expected in zip(got, _generator_oracle(group)):
+        assert abs(value - expected) <= max(1e-13 * expected, 4 * n * n * np.finfo(float).eps)
+    assert audit.closure_max_err >= audit.involution_max_err
+    assert audit.gram_residual == frobenius(v @ v.T - np.eye(n))
+
+
+class TestGeneratorsBuiltOnRead:
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_items_equal_single_flip_elements(self, n):
+        rng = np.random.default_rng(60 + n)
+        v = _perturbed_basis(rng, n, 5e-9)
+        group = conjugated_group(v)
+        # every reflection as one broadcast: -2 v_ij v_ik, then + I
+        broadcast = -2.0 * v[:, :, None] * v[:, None, :]
+        broadcast += np.eye(n)
+        assert len(group.generators) == n
+        for i, g in enumerate(group.generators):
+            assert g.pattern == _flip(n, {i})
+            assert np.array_equal(g.matrix, group.element(g.pattern).matrix)
+            assert np.array_equal(g.matrix, broadcast[i])
+        assert i == n - 1
+
+    def test_negative_and_out_of_range_indices(self):
+        group = conjugated_group(random_orthogonal(np.random.default_rng(66), 4))
+        generators = group.generators
+        assert generators[-1].pattern == SignPattern.from_string("+++-")
+        assert np.array_equal(generators[-4].matrix, generators[0].matrix)
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                generators[bad]
+
+    def test_read_only(self):
+        generators = conjugated_group(np.eye(3)).generators
+        with pytest.raises(TypeError):
+            generators[0] = generators[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 64])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_generator_row_sums_equal_the_mask_product(n, kind):
+    """The generators' norms without masks are bitwise those of the identity masks."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    if kind == "real":
+        v = random_orthogonal(rng, n)
+    else:
+        a = a + 1j * rng.normal(size=(n, n))
+        v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    unit, _ = _unit_scale(a)
+    assert np.array_equal(_flip_commutators(unit, v), _flip_commutators(unit, v, np.eye(n)))
+
+
 def _perturbed_basis(rng, n, gram_residual):
     """A random orthogonal basis moved to about the given ``||V V^T - I||_F``."""
     v = random_orthogonal(rng, n)
@@ -617,7 +700,7 @@ def test_closed_form_commutators_match_element_products(n, seed):
     if rng.integers(2):
         a = v.T @ np.diag(rng.normal(size=n)) @ v + 10.0 ** rng.uniform(-12, 0) * a
     unit, k = _unit_scale(a)
-    closed = np.ldexp(_flip_commutators(unit, v, _flip_masks(n, True)), k)
+    closed = np.ldexp(_flip_commutators(unit, v, _flip_masks(n)), k)
     explicit = [commutator_norm(e.matrix, a) for e in enumerate_group(v)]
     assert np.max(np.abs(closed - explicit)) <= 1e-10 * frobenius(a)
 
@@ -667,7 +750,7 @@ def test_commutator_identity(n, seed, skew, k):
     unit, e = _unit_scale(a)
     s = 0.5 * (unit + unit.T)
     v = symmetric_eigen(s).vectors
-    norms = _flip_commutators(unit, v, _flip_masks(n, False))
+    norms = _flip_commutators(unit, v)
     lhs = float(np.sum(norms**2))
     rhs = 2.0 * frobenius(unit - unit.T) ** 2 + 8.0 * off_diagonal_norm(v @ s @ v.T) ** 2
     assert np.array_equal(np.ldexp(unit, e), a)
@@ -681,6 +764,6 @@ def test_element_sum_is_generator_sum_times_2_to_n_minus_2(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n))
     v = random_orthogonal(rng, n)
-    every = _flip_commutators(a, v, _flip_masks(n, True))
-    generators = _flip_commutators(a, v, _flip_masks(n, False))
+    every = _flip_commutators(a, v, _flip_masks(n))
+    generators = _flip_commutators(a, v)
     assert np.sum(every**2) == pytest.approx(2.0 ** (n - 2) * np.sum(generators**2), rel=1e-12)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from signflip.signgroup import SignPattern, conjugated_group
 from signflip.stencil import (
     AllBelowNoiseFloorError,
     DEFAULT_SCALES,
+    GROUP_NOT_COMMUTING,
     NEAR_EIGENVECTOR,
     ORDER_UNDERDETERMINED,
     PAIR_DEGENERATE,
@@ -207,6 +209,13 @@ class TestDegeneracyCheck:
         warnings = degeneracy_check(g1, g2, REF_STEP)
         assert warnings == ()
 
+    def test_step_beyond_the_square_root_of_the_float_range(self, reference_setup):
+        f, group, g1, g2 = reference_setup
+        h = 1e200 * np.array([1.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degeneracy_check(g1, g2, h) == degeneracy_check(g1, g2, h / 1e200)
+
     def test_custom_tolerance(self, reference_setup):
         f, group, g1, g2 = reference_setup
         h = group.basis[0] + 0.05 * group.basis[1]
@@ -242,6 +251,20 @@ class TestStencilInputValidation:
         f = parse("x1 + x2", 2)
         with pytest.raises(DimensionMismatchError):
             StencilInput(f, [0.0, 0.0], [0.1, 0.1], SignPattern((1,)), SignPattern((-1, 1)))
+
+    @pytest.mark.parametrize(
+        ("x", "h", "scales"),
+        [
+            ([math.nan, 1.0], [0.1, 0.2], DEFAULT_SCALES),
+            ([1.0, 1.0], [0.1, math.inf], DEFAULT_SCALES),
+            ([1.0, 1.0], [0.1, 0.2], (1.0, math.nan)),
+            ([1.0, 1.0], [0.1, 0.2], (math.inf, 1.0)),
+        ],
+    )
+    def test_non_finite_values_rejected(self, x, h, scales):
+        f = parse("x1^4 + x2^4", 2)
+        with pytest.raises(ValueError, match="finite"):
+            StencilInput(f, x, h, SignPattern((1, 1)), SignPattern((-1, 1)), scales=scales)
 
 
 class TestOrderEstimate:
@@ -307,6 +330,29 @@ class TestOrderEstimate:
         report = order_estimate(inp)
         assert len(report.rows) == len(DEFAULT_SCALES)
         assert abs(report.fitted_order - 4.0) < 0.01
+
+    @pytest.mark.parametrize("basis", ["identity", "hessian at (1.1, 1, 1)"])
+    def test_group_not_commuting_warns(self, reference_setup, basis):
+        f = reference_setup[0]
+        if basis == "identity":
+            group = conjugated_group(np.eye(3))
+        else:
+            group = hessian_sign_group(f, [1.1, 1.0, 1.0])
+        inp = StencilInput(f, REF_POINT, REF_STEP, SignPattern.from_string("+++"),
+                           SignPattern.from_string("-++"))
+        report = order_estimate(inp, group)
+        # the quadratic term survives, so S decays only as s^2
+        assert abs(report.fitted_order - 2.0) < 0.05
+        [warning] = [w for w in report.warnings if w.kind == GROUP_NOT_COMMUTING]
+        margin = float(warning.message.split("margin ")[1].split(")")[0])
+        assert margin > 1e6
+
+    def test_hessian_group_supplied_does_not_warn(self, reference_setup):
+        f, group, g1, g2 = reference_setup
+        inp = StencilInput(f, REF_POINT, REF_STEP, g1.pattern, g2.pattern)
+        derived, supplied = order_estimate(inp), order_estimate(inp, group)
+        assert supplied.warnings == derived.warnings == ()
+        assert supplied.rows == derived.rows
 
     def test_group_dimension_checked(self, reference_setup):
         f, group, g1, g2 = reference_setup
